@@ -86,12 +86,17 @@ golden-update: build
 	$(RGLEAK) validate --sweep default --seed 42 --json data/golden/validate_default.json
 	$(RGLEAK) $(TAIL_QUICK) --json data/golden/tail_quick.json
 	$(RGLEAK) $(OPTIMIZE_QUICK) --json data/golden/optimize_quick.json
+	$(RGLEAK) characterize > data/golden/characterize_default.txt
 
 # Both sweeps must reproduce their committed baselines (drift within MC
 # sampling noise is tolerated, anything else fails), and a deliberately
 # fault-poisoned run must be caught as breaking drift — proving the
-# golden gate can actually fail.
+# golden gate can actually fail.  The characterize report, whose MC
+# cross-check is opt-in, must reproduce its baseline byte for byte at
+# any job count.
 golden-check: build
+	$(RGLEAK) characterize | cmp - data/golden/characterize_default.txt
+	$(RGLEAK) characterize --jobs 1 | cmp - data/golden/characterize_default.txt
 	$(RGLEAK) validate --sweep quick --seed 42 --golden data/golden/validate_quick.json
 	$(RGLEAK) validate --sweep default --seed 42 --golden data/golden/validate_default.json
 	$(RGLEAK) $(TAIL_QUICK) --golden data/golden/tail_quick.json >/dev/null

@@ -49,17 +49,21 @@ let pct a b = 100.0 *. (a -. b) /. b
 
 let run_e1 () =
   section "E1: analytical cell model vs Monte Carlo (paper 2.1.2)";
-  let chars = Lazy.force chars in
+  let chars =
+    Characterize.characterize_library
+      ~mc_samples:Characterize.cross_check_samples ~param ~seed:1729 ()
+  in
   let m_errs = ref [] and s_errs = ref [] in
   Array.iter
     (fun (ch : Characterize.cell_char) ->
       Array.iter
         (fun (sc : Characterize.state_char) ->
+          let mc = Option.get sc.Characterize.mc in
           m_errs :=
-            Float.abs (pct sc.Characterize.mu_analytic sc.Characterize.mu_mc)
+            Float.abs (pct sc.Characterize.mu_analytic mc.Characterize.mu_mc)
             :: !m_errs;
           s_errs :=
-            Float.abs (pct sc.Characterize.sigma_analytic sc.Characterize.sigma_mc)
+            Float.abs (pct sc.Characterize.sigma_analytic mc.Characterize.sigma_mc)
             :: !s_errs)
         ch.Characterize.states)
     chars;
@@ -567,15 +571,22 @@ let run_timing () =
     ~alloc:("minor_words_per_sample", float_of_int count)
     ~equal:( = )
     (fun () -> Mc_reference.moments_stream mc ~seed:910 ~count);
-  (* Library characterization across the pool. *)
-  let l_points = 33 and mc_samples = if !fast then 1_000 else 5_000 in
+  (* Library characterization across the pool, at the settings every
+     estimate pays (97 points, no MC), and with the opt-in MC cross-check
+     the characterize report runs. *)
+  let first_state (a : Characterize.cell_char array) = a.(0).Characterize.states.(0) in
   bench ~estimator:"characterize" ~n:Library.size
     ~equal:(fun a b ->
-      bits a.(0).Characterize.states.(0).Characterize.mu_analytic
-      = bits b.(0).Characterize.states.(0).Characterize.mu_analytic)
+      bits (first_state a).Characterize.mu_analytic
+      = bits (first_state b).Characterize.mu_analytic)
+    (fun () -> Characterize.characterize_library ~param ~seed:1729 ());
+  bench ~estimator:"characterize_mc" ~n:Library.size
+    ~equal:(fun a b ->
+      let mc x = Option.get (first_state x).Characterize.mc in
+      bits (mc a).Characterize.mu_mc = bits (mc b).Characterize.mu_mc)
     (fun () ->
-      Characterize.characterize_library ~l_points ~mc_samples ~param
-        ~seed:1729 ());
+      Characterize.characterize_library
+        ~mc_samples:Characterize.cross_check_samples ~param ~seed:1729 ());
   (* The O(n) and O(1) estimators for scale context (single-domain). *)
   let n_lin = if !fast then 40_000 else 1_000_000 in
   let layout = Layout.square ~n:n_lin () in
@@ -778,8 +789,7 @@ let run_ablations () =
     (fun l_points ->
       let rng = Rng.create ~seed:808 () in
       let ch =
-        Characterize.characterize ~l_points ~mc_samples:2000 ~param ~rng
-          (Library.find "NAND2_X1")
+        Characterize.characterize ~l_points ~param ~rng (Library.find "NAND2_X1")
       in
       let sc = ch.Characterize.states.(0) in
       Printf.printf
@@ -819,7 +829,7 @@ let run_ext_temperature () =
     (fun temp_c ->
       let env = Rgleak_device.Mosfet.env_at ~temp_k:(273.15 +. temp_c) () in
       let chars_t =
-        Characterize.characterize_library ~l_points:49 ~mc_samples:500 ~env
+        Characterize.characterize_library ~l_points:49 ~env
           ~param ~seed:1729 ()
       in
       let r =
@@ -1129,7 +1139,7 @@ let run_ext_vdd () =
     (fun vdd ->
       let env = Rgleak_device.Mosfet.env_at ~vdd ~temp_k:300.0 () in
       let chars_v =
-        Characterize.characterize_library ~l_points:49 ~mc_samples:500 ~env
+        Characterize.characterize_library ~l_points:49 ~env
           ~param ~seed:1729 ()
       in
       let r = Estimate.early ~chars:chars_v ~corr:corr_default spec in

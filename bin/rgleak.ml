@@ -204,7 +204,10 @@ let subcommand_of_argv () =
   in
   find 1
 
-let with_telemetry t run =
+(* [class_of] names the exit class of a run that returns normally; a
+   body that computes its own exit code returns it, so the artifacts are
+   flushed before the process exits. *)
+let with_telemetry ?(class_of = fun _ -> "ok") t run =
   if not (trace_active t) then run ()
   else begin
     Obs.reset ();
@@ -263,7 +266,7 @@ let with_telemetry t run =
     in
     match run () with
     | v ->
-      finish "ok";
+      finish (class_of v);
       v
     | exception e ->
       finish (exit_class e);
@@ -400,13 +403,18 @@ let characterize_cmd =
         try Some (Library.index_of name)
         with Not_found -> Guard.invalid (Printf.sprintf "unknown cell %S" name))
     in
+    (* The report prints the MC cross-check, so it turns it on; the
+       estimators' cached characterization leaves it off. *)
+    let env =
+      Option.map
+        (fun celsius ->
+          Rgleak_device.Mosfet.env_at ~temp_k:(273.15 +. celsius) ())
+        temp
+    in
     let chars =
-      match temp with
-      | None -> Characterize.default_library ()
-      | Some celsius ->
-        Characterize.characterize_library
-          ~env:(Rgleak_device.Mosfet.env_at ~temp_k:(273.15 +. celsius) ())
-          ?jobs ~param:Process_param.default_channel_length ~seed:1729 ()
+      Characterize.characterize_library
+        ~mc_samples:Characterize.cross_check_samples ?env ?jobs
+        ~param:Process_param.default_channel_length ~seed:1729 ()
     in
     (match save with
     | None -> ()
@@ -426,11 +434,12 @@ let characterize_cmd =
           "sigma(fit)" "mu(MC)" "sigma(MC)" "b" "c" "rms(ln)";
         Array.iter
           (fun (sc : Characterize.state_char) ->
+            let mc = Option.get sc.Characterize.mc in
             Printf.printf
               "  %5d %12.5f %12.5f %12.5f %12.5f %10.5f %10.6f %12.5f\n"
               sc.Characterize.state_index sc.Characterize.mu_analytic
-              sc.Characterize.sigma_analytic sc.Characterize.mu_mc
-              sc.Characterize.sigma_mc sc.Characterize.fit.Mgf.b
+              sc.Characterize.sigma_analytic mc.Characterize.mu_mc
+              mc.Characterize.sigma_mc sc.Characterize.fit.Mgf.b
               sc.Characterize.fit.Mgf.c sc.Characterize.fit_rms_log)
           ch.Characterize.states)
       selected
@@ -1549,10 +1558,16 @@ let batch_cmd =
       & info [ "no-cache" ]
           ~doc:"Disable the on-disk cache (compute everything in-process).")
   in
-  let run manifest_path out cache_dir no_cache jobs ro tr =
-    with_diagnostics ro @@ fun () ->
-    apply_jobs jobs;
-    with_telemetry tr @@ fun () ->
+  (* The worst scenario's class, as Guard.exit_code numbers them. *)
+  let class_of = function
+    | 0 -> "ok"
+    | 2 -> "invalid-input"
+    | 3 -> "numeric"
+    | _ -> "internal"
+  in
+  (* Runs the manifest and returns the exit code, so the caller exits
+     only after the telemetry artifacts are written. *)
+  let execute manifest_path out cache_dir no_cache =
     let text =
       try
         let ic = open_in_bin manifest_path in
@@ -1595,7 +1610,15 @@ let batch_cmd =
           (Cache.dir c) s.Cache.hits s.Cache.misses s.Cache.corrupt
           s.Cache.put_errors s.Cache.bytes_read s.Cache.bytes_written)
       cache;
-    let code = Batch.exit_code outcomes in
+    Batch.exit_code outcomes
+  in
+  let run manifest_path out cache_dir no_cache jobs ro tr =
+    with_diagnostics ro @@ fun () ->
+    apply_jobs jobs;
+    let code =
+      with_telemetry ~class_of tr (fun () ->
+          execute manifest_path out cache_dir no_cache)
+    in
     if code <> 0 then exit code
   in
   Cmd.v

@@ -40,8 +40,7 @@ let () =
     (fun temp_c ->
       let env = Mosfet.env_at ~temp_k:(273.15 +. temp_c) () in
       let chars =
-        Characterize.characterize_library ~l_points:49 ~mc_samples:500 ~env
-          ~param ~seed:1729 ()
+        Characterize.characterize_library ~l_points:49 ~env ~param ~seed:1729 ()
       in
       let r = Estimate.early ~p:0.5 ~chars ~corr spec in
       if temp_c = 25.0 then mean_25 := r.Estimate.mean;

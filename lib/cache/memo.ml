@@ -9,8 +9,9 @@ module Rg_correlation = Rgleak_core.Rg_correlation
 module Estimator_linear = Rgleak_core.Estimator_linear
 
 (* Kind versions: bump when the payload format or the semantics of the
-   computation behind a kind change, so stale entries self-invalidate. *)
-let chars_version = 1
+   computation behind a kind change, so stale entries self-invalidate.
+   chars 2: Char_io format 2, MC cross-check off. *)
+let chars_version = 2
 let rgcorr_version = 1
 let linmemo_version = 1
 let deltacov_version = 1
@@ -36,7 +37,7 @@ let param_part (p : Process_param.t) =
 (* Canonical record of the settings `characterization` below actually
    uses (Characterize defaults + seed).  If those defaults ever change,
    this literal — or chars_version — must change with them. *)
-let chars_settings = "l_points=97;span=6;mc=20000;seed=1729;vdd=default"
+let chars_settings = "l_points=97;span=6;mc=0;seed=1729;vdd=default"
 
 let chars_key_parts ~temp_celsius =
   [

@@ -3,7 +3,8 @@
     Three artifact kinds are content-addressed in a {!Cache.t}:
 
     - [chars] — full-library characterization tables
-      ({!Rgleak_cells.Characterize.characterize_library}), serialized
+      ({!Rgleak_cells.Characterize.characterize_library}, MC
+      cross-check off), serialized
       through {!Rgleak_cells.Char_io} (whose [%.17g] text format
       round-trips every float bit-for-bit);
     - [rgcorr] — the RG correlation structure's F and per-cell-pair

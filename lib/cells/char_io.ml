@@ -4,7 +4,14 @@ open Rgleak_process
 exception Format_error of string
 
 let magic = "rgleak-characterization"
-let version = 1
+let version = 2
+
+(* Version 1 always carried the MC moments; version 2 writes "- -" in
+   their place when the cross-check did not run. *)
+let mc_fields = function
+  | None -> "- -"
+  | Some m ->
+    Printf.sprintf "%.17g %.17g" m.Characterize.mu_mc m.Characterize.sigma_mc
 
 let to_string (chars : Characterize.cell_char array) =
   let buf = Buffer.create (1 lsl 20) in
@@ -23,11 +30,11 @@ let to_string (chars : Characterize.cell_char array) =
       Array.iter
         (fun (sc : Characterize.state_char) ->
           let points = Interp.to_points sc.Characterize.table in
-          pf "state %d %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %d\n"
+          pf "state %d %.17g %.17g %.17g %.17g %s %.17g %.17g %.17g %.17g %d\n"
             sc.Characterize.state_index sc.Characterize.mu_analytic
             sc.Characterize.sigma_analytic sc.Characterize.mu_ref
-            sc.Characterize.sigma_ref sc.Characterize.mu_mc
-            sc.Characterize.sigma_mc sc.Characterize.fit.Mgf.a
+            sc.Characterize.sigma_ref (mc_fields sc.Characterize.mc)
+            sc.Characterize.fit.Mgf.a
             sc.Characterize.fit.Mgf.b sc.Characterize.fit.Mgf.c
             sc.Characterize.fit_rms_log (Array.length points);
           Array.iter (fun (l, x) -> pf "%.17g %.17g\n" l x) points)
@@ -68,11 +75,25 @@ let of_string text =
       pos = 0;
     }
   in
-  (match words (next cur) with
-  | [ m; v ] when m = magic ->
-    if int_of ~what:"version" v <> version then
-      raise (Format_error "unsupported format version")
-  | _ -> raise (Format_error "missing magic header"));
+  let file_version =
+    match words (next cur) with
+    | [ m; v ] when m = magic ->
+      let v = int_of ~what:"version" v in
+      if v < 1 || v > version then
+        raise (Format_error "unsupported format version");
+      v
+    | _ -> raise (Format_error "missing magic header")
+  in
+  let mc_of mu_mc s_mc =
+    match (mu_mc, s_mc) with
+    | "-", "-" when file_version >= 2 -> None
+    | _ ->
+      Some
+        {
+          Characterize.mu_mc = float_of ~what:"mu_mc" mu_mc;
+          sigma_mc = float_of ~what:"sigma_mc" s_mc;
+        }
+  in
   let param =
     match words (next cur) with
     | [ "param"; name; nominal; d2d; wid ] ->
@@ -124,8 +145,7 @@ let of_string text =
                 sigma_analytic = float_of ~what:"sigma_analytic" s_an;
                 mu_ref = float_of ~what:"mu_ref" mu_ref;
                 sigma_ref = float_of ~what:"sigma_ref" s_ref;
-                mu_mc = float_of ~what:"mu_mc" mu_mc;
-                sigma_mc = float_of ~what:"sigma_mc" s_mc;
+                mc = mc_of mu_mc s_mc;
               }
             | _ -> raise (Format_error "expected state line"))
       in

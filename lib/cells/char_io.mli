@@ -5,15 +5,18 @@
     This module serializes a {!Characterize.cell_char} array to a
     versioned, line-oriented text format (leakage tables, fitted
     triplets, and all computed moments) and loads it back, verifying the
-    cells still match the in-memory library.
+    cells still match the in-memory library.  Version 2 writes [- -] in
+    place of the MC moments when the cross-check did not run; the
+    reader also accepts version 1 files, whose MC moments are always
+    present.
 
     The format is plain text so it can be diffed and inspected:
 
     {v
-    rgleak-characterization 1
+    rgleak-characterization 2
     param channel-length 90 3 3
     cell INV_X1 2
-    state 0 <moments...> <a> <b> <c> <rms> <npoints>
+    state 0 <mu_fit> <sigma_fit> <mu_ref> <sigma_ref> <mu_mc|-> <sigma_mc|-> <a> <b> <c> <rms> <npoints>
     <L> <leakage>
     ...
     end

@@ -2,6 +2,8 @@ open Rgleak_num
 open Rgleak_process
 module Obs = Rgleak_obs.Obs
 
+type mc_moments = { mu_mc : float; sigma_mc : float }
+
 type state_char = {
   state_index : int;
   table : Interp.t;
@@ -11,8 +13,7 @@ type state_char = {
   sigma_analytic : float;
   mu_ref : float;
   sigma_ref : float;
-  mu_mc : float;
-  sigma_mc : float;
+  mc : mc_moments option;
 }
 
 type cell_char = {
@@ -79,11 +80,19 @@ let characterize_state ~env ~param ~span ~l_points ~mc_samples ~rng cell
   let sigma_analytic = check "analytic sigma" (Mgf.std fit ~mu ~sigma) in
   let mu_ref, sigma_ref = reference_moments table ~mu ~sigma ~span in
   let mu_ref = check "reference mean" mu_ref in
-  let acc = Stats.Acc.create () in
-  for _ = 1 to mc_samples do
-    let l = Rng.gaussian_mu_sigma rng ~mu ~sigma in
-    Stats.Acc.add acc (Interp.eval table l)
-  done;
+  (* The optional MC cross-check draws from this cell's stream in state
+     order, so its moments do not depend on the job count. *)
+  let mc =
+    if mc_samples = 0 then None
+    else begin
+      let acc = Stats.Acc.create () in
+      for _ = 1 to mc_samples do
+        let l = Rng.gaussian_mu_sigma rng ~mu ~sigma in
+        Stats.Acc.add acc (Interp.eval table l)
+      done;
+      Some { mu_mc = Stats.Acc.mean acc; sigma_mc = Stats.Acc.std acc }
+    end
+  in
   {
     state_index;
     table;
@@ -93,13 +102,15 @@ let characterize_state ~env ~param ~span ~l_points ~mc_samples ~rng cell
     sigma_analytic;
     mu_ref;
     sigma_ref;
-    mu_mc = Stats.Acc.mean acc;
-    sigma_mc = Stats.Acc.std acc;
+    mc;
   }
 
-let characterize ?(l_points = 97) ?(span_sigmas = 6.0) ?(mc_samples = 20_000)
+let cross_check_samples = 20_000
+
+let characterize ?(l_points = 97) ?(span_sigmas = 6.0) ?(mc_samples = 0)
     ?(env = Rgleak_device.Mosfet.default_env) ~param ~rng cell =
   if l_points < 8 then invalid_arg "Characterize: need at least 8 grid points";
+  if mc_samples < 0 then invalid_arg "Characterize: negative MC sample count";
   Obs.count "characterize.states" (Cell.num_states cell);
   let states =
     Array.init (Cell.num_states cell) (fun i ->

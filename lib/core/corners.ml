@@ -20,8 +20,8 @@ type corner_result = {
   p3sigma : float;
 }
 
-let analyze ?(corners = standard_corners) ?(l_points = 49) ?(mc_samples = 500)
-    ?p ~param ~corr ~spec () =
+let analyze ?(corners = standard_corners) ?(l_points = 49) ?p ~param ~corr
+    ~spec () =
   List.map
     (fun corner ->
       let nominal =
@@ -38,8 +38,8 @@ let analyze ?(corners = standard_corners) ?(l_points = 49) ?(mc_samples = 500)
         Rgleak_device.Mosfet.env_at ~temp_k:(273.15 +. corner.temp_c) ()
       in
       let chars =
-        Characterize.characterize_library ~l_points ~mc_samples ~env
-          ~param:corner_param ~seed:1729 ()
+        Characterize.characterize_library ~l_points ~env ~param:corner_param
+          ~seed:1729 ()
       in
       let r = Estimate.early ?p ~with_vt:true ~chars ~corr spec in
       {

@@ -34,17 +34,15 @@ type corner_result = {
 val analyze :
   ?corners:corner list ->
   ?l_points:int ->
-  ?mc_samples:int ->
   ?p:float ->
   param:Rgleak_process.Process_param.t ->
   corr:Rgleak_process.Corr_model.t ->
   spec:Estimate.spec ->
   unit ->
   corner_result list
-(** Characterizes the library at each corner (reduced defaults:
-    [l_points] 49, [mc_samples] 500 — corners need moments, not MC
-    studies) and estimates the design.  Results keep the input corner
-    order. *)
+(** Characterizes the library at each corner (reduced grid: [l_points]
+    defaults to 49) and estimates the design.  Results keep the input
+    corner order. *)
 
 val worst : corner_result list -> corner_result
 (** The corner with the largest mean + 3σ. *)

@@ -256,6 +256,48 @@ let test_characterization_cached () =
         cc.Characterize.states)
     cold
 
+(* A chars entry of format version 1 (which carried the MC cross-check)
+   stored under today's key is not served: the kind version moved to 2,
+   so the lookup misses, recomputes without MC, and stores a v2 entry. *)
+let test_characterization_skips_v1_entry () =
+  let c = Cache.open_ ~dir:(fresh_dir ()) () in
+  let fresh = Characterize.default_library () in
+  let poisoned =
+    Array.map
+      (fun (ch : Characterize.cell_char) ->
+        {
+          ch with
+          Characterize.states =
+            Array.map
+              (fun (sc : Characterize.state_char) ->
+                {
+                  sc with
+                  Characterize.mu_analytic = 2.0 *. sc.Characterize.mu_analytic;
+                  mc = Some { Characterize.mu_mc = 1.0; sigma_mc = 1.0 };
+                })
+              ch.Characterize.states;
+        })
+      fresh
+  in
+  let v2 = Rgleak_cells.Char_io.to_string poisoned in
+  let header = "rgleak-characterization 2\n" in
+  let v1 =
+    "rgleak-characterization 1\n"
+    ^ String.sub v2 (String.length header) (String.length v2 - String.length header)
+  in
+  let key = Cache.key (Memo.chars_key_parts ~temp_celsius:None) in
+  Cache.put c ~kind:"chars" ~version:1 ~key v1;
+  let got = Memo.characterization ~cache:c ~temp_celsius:None () in
+  Alcotest.(check int) "v1 entry not served" 0 (Cache.stats c).Cache.hits;
+  let st = got.(0).Characterize.states.(0) in
+  Alcotest.(check (float 0.0))
+    "recomputed analytic mean" fresh.(0).Characterize.states.(0).Characterize.mu_analytic
+    st.Characterize.mu_analytic;
+  Alcotest.(check bool) "recomputed without MC" true (st.Characterize.mc = None);
+  Alcotest.(check bool)
+    "v2 entry stored" true
+    (Cache.get c ~kind:"chars" ~version:2 ~key <> None)
+
 (* --- empty-input guards --------------------------------------------- *)
 
 let test_empty_mix_guard () =
@@ -449,6 +491,8 @@ let suite =
         test_poisoned_memo_recovers;
       Alcotest.test_case "characterization round-trips through the cache"
         `Quick test_characterization_cached;
+      Alcotest.test_case "a chars v1 entry is not served as v2" `Quick
+        test_characterization_skips_v1_entry;
       Alcotest.test_case "empty mix is Invalid_input" `Quick
         test_empty_mix_guard;
       Alcotest.test_case "zero-gate MC design is Invalid_input" `Quick

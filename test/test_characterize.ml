@@ -69,14 +69,20 @@ let test_analytic_close_to_reference () =
         ch.Characterize.states)
     [ Lazy.force inv_char; Lazy.force nand_char; Lazy.force nor3_char ]
 
+let mc_of (sc : Characterize.state_char) =
+  match sc.Characterize.mc with
+  | Some m -> m
+  | None -> Alcotest.fail "MC cross-check requested but absent"
+
 let test_mc_close_to_reference () =
   (* MC is an estimator of the quadrature reference *)
   Array.iter
     (fun (sc : Characterize.state_char) ->
+      let mc = mc_of sc in
       check_rel ~tol:0.02 "MC mean vs quadrature" sc.Characterize.mu_ref
-        sc.Characterize.mu_mc;
+        mc.Characterize.mu_mc;
       check_rel ~tol:0.05 "MC std vs quadrature" sc.Characterize.sigma_ref
-        sc.Characterize.sigma_mc)
+        mc.Characterize.sigma_mc)
     (Lazy.force inv_char).Characterize.states
 
 let test_determinism () =
@@ -84,8 +90,8 @@ let test_determinism () =
   Array.iteri
     (fun i (sa : Characterize.state_char) ->
       let sb = b.Characterize.states.(i) in
-      check_close "same seed, same MC mean" sa.Characterize.mu_mc
-        sb.Characterize.mu_mc)
+      check_close "same seed, same MC mean" (mc_of sa).Characterize.mu_mc
+        (mc_of sb).Characterize.mu_mc)
     a.Characterize.states
 
 let test_positive_moments () =
@@ -93,8 +99,54 @@ let test_positive_moments () =
     (fun (sc : Characterize.state_char) ->
       check_true "positive analytic mean" (sc.Characterize.mu_analytic > 0.0);
       check_true "positive analytic std" (sc.Characterize.sigma_analytic > 0.0);
-      check_true "positive mc mean" (sc.Characterize.mu_mc > 0.0))
+      check_true "positive mc mean" ((mc_of sc).Characterize.mu_mc > 0.0))
     (Lazy.force nand_char).Characterize.states
+
+(* The cross-check is off by default: no moments, not placeholders. *)
+let test_mc_off_by_default () =
+  let ch =
+    Characterize.characterize ~l_points:33 ~param ~rng:(Rng.create ~seed:55 ())
+      (Library.find "NAND2_X1")
+  in
+  Array.iter
+    (fun (sc : Characterize.state_char) ->
+      check_true "no MC moments by default" (sc.Characterize.mc = None))
+    ch.Characterize.states
+
+(* Turning the cross-check on changes only [mc]: the table, the fit and
+   the analytic and reference moments keep their bits. *)
+let test_mc_leaves_the_rest_bitwise () =
+  let run mc_samples =
+    Characterize.characterize ~l_points:33 ~mc_samples ~param
+      ~rng:(Rng.create ~seed:55 ()) (Library.find "AOI21_X1")
+  in
+  let off = run 0 and on = run 500 in
+  let bits = Int64.bits_of_float in
+  Array.iteri
+    (fun i (a : Characterize.state_char) ->
+      let b = on.Characterize.states.(i) in
+      let same name x y =
+        Alcotest.(check int64) (Printf.sprintf "state %d %s" i name) (bits x)
+          (bits y)
+      in
+      check_true "off has no MC" (a.Characterize.mc = None);
+      check_true "on has MC" (b.Characterize.mc <> None);
+      List.iter2
+        (fun (px, x) (py, y) ->
+          same "table L" px py;
+          same "table leakage" x y)
+        (Array.to_list (Interp.to_points a.Characterize.table))
+        (Array.to_list (Interp.to_points b.Characterize.table));
+      same "fit a" a.Characterize.fit.Mgf.a b.Characterize.fit.Mgf.a;
+      same "fit b" a.Characterize.fit.Mgf.b b.Characterize.fit.Mgf.b;
+      same "fit c" a.Characterize.fit.Mgf.c b.Characterize.fit.Mgf.c;
+      same "fit rms" a.Characterize.fit_rms_log b.Characterize.fit_rms_log;
+      same "mu analytic" a.Characterize.mu_analytic b.Characterize.mu_analytic;
+      same "sigma analytic" a.Characterize.sigma_analytic
+        b.Characterize.sigma_analytic;
+      same "mu ref" a.Characterize.mu_ref b.Characterize.mu_ref;
+      same "sigma ref" a.Characterize.sigma_ref b.Characterize.sigma_ref)
+    off.Characterize.states
 
 let test_default_library_cached () =
   let t0 = Unix.gettimeofday () in
@@ -111,7 +163,12 @@ let test_grid_validation () =
   Alcotest.check_raises "too few grid points"
     (Invalid_argument "Characterize: need at least 8 grid points") (fun () ->
       ignore
-        (Characterize.characterize ~l_points:4 ~param ~rng (Library.find "INV_X1")))
+        (Characterize.characterize ~l_points:4 ~param ~rng (Library.find "INV_X1")));
+  Alcotest.check_raises "negative MC sample count"
+    (Invalid_argument "Characterize: negative MC sample count") (fun () ->
+      ignore
+        (Characterize.characterize ~mc_samples:(-1) ~param ~rng
+           (Library.find "INV_X1")))
 
 let suite =
   ( "characterize",
@@ -125,6 +182,8 @@ let suite =
       case "mc vs reference" test_mc_close_to_reference;
       case "determinism" test_determinism;
       case "positive moments" test_positive_moments;
+      case "mc off by default" test_mc_off_by_default;
+      case "mc cross-check leaves the rest bitwise" test_mc_leaves_the_rest_bitwise;
       slow_case "default library memoization" test_default_library_cached;
       case "grid validation" test_grid_validation;
     ] )

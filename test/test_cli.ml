@@ -206,6 +206,30 @@ let check_contains name hay needle =
   if not (contains hay needle) then
     Alcotest.failf "%s: %S not found in:\n%s" name needle hay
 
+(* a scenario that fails at run time becomes an error record and exit
+   2, and the run's telemetry artifacts are still written *)
+let test_batch_error_record_keeps_telemetry () =
+  with_temp_dir @@ fun dir ->
+  let manifest = Filename.concat dir "m.jsonl" in
+  write_file manifest
+    {|{"id": "good", "n": 50, "mix": "INV_X1:1", "corr": "spherical:120", "tier": "linear"}
+{"id": "bad", "n": 10, "mix": "INV_X1:0", "corr": "spherical:120", "tier": "linear"}
+|};
+  let out = Filename.concat dir "out.jsonl" in
+  let metrics = Filename.concat dir "metrics.json" in
+  let ledger = Filename.concat dir "ledger.jsonl" in
+  Alcotest.(check int) "error record exits 2" 2
+    (run
+       [ "batch"; manifest; "--no-cache"; "--out"; out; "--metrics-json";
+         metrics; "--ledger"; ledger ]);
+  check_contains "bad line is an error record" (read_file out)
+    {|"status": "error"|};
+  Alcotest.(check bool) "metrics written" true (Sys.file_exists metrics);
+  check_contains "metrics carry the run's counters" (read_file metrics)
+    {|"characterize.states"|};
+  check_contains "ledger line carries the failure class" (read_file ledger)
+    {|"exit_class":"invalid-input"|}
+
 (* ---------- tail ---------- *)
 
 let tail_args = [ "tail"; "-n"; "120"; "--budget"; "0.5"; "--replicas"; "200" ]
@@ -570,6 +594,8 @@ let () =
           case "cold/warm cache runs identical with hits"
             test_batch_cold_warm;
           case "manifest errors exit 2" test_batch_manifest_errors;
+          case "error records exit 2 and keep telemetry"
+            test_batch_error_record_keeps_telemetry;
         ] );
       ( "tail",
         [

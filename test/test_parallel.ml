@@ -274,9 +274,12 @@ let test_characterize_jobs () =
             sb.Characterize.mu_analytic;
           check_bits (tag "sigma_analytic") sa.Characterize.sigma_analytic
             sb.Characterize.sigma_analytic;
-          check_bits (tag "mu_mc") sa.Characterize.mu_mc sb.Characterize.mu_mc;
-          check_bits (tag "sigma_mc") sa.Characterize.sigma_mc
-            sb.Characterize.sigma_mc)
+          match (sa.Characterize.mc, sb.Characterize.mc) with
+          | Some ma, Some mb ->
+            check_bits (tag "mu_mc") ma.Characterize.mu_mc mb.Characterize.mu_mc;
+            check_bits (tag "sigma_mc") ma.Characterize.sigma_mc
+              mb.Characterize.sigma_mc
+          | _ -> Alcotest.fail (tag "opt-in MC cross-check missing"))
         ca.Characterize.states)
     a
 

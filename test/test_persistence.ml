@@ -21,19 +21,22 @@ let small_chars =
 
 (* ---- char_io ---- *)
 
+let mc_equal =
+  Option.equal (fun (x : Characterize.mc_moments) (y : Characterize.mc_moments) ->
+      Float.abs (x.Characterize.mu_mc -. y.Characterize.mu_mc) < 1e-12
+      && Float.abs (x.Characterize.sigma_mc -. y.Characterize.sigma_mc) < 1e-12)
+
 let states_equal (a : Characterize.state_char) (b : Characterize.state_char) =
   a.Characterize.state_index = b.Characterize.state_index
   && Float.abs (a.Characterize.mu_analytic -. b.Characterize.mu_analytic) < 1e-12
   && Float.abs (a.Characterize.sigma_analytic -. b.Characterize.sigma_analytic) < 1e-12
-  && Float.abs (a.Characterize.mu_mc -. b.Characterize.mu_mc) < 1e-12
+  && mc_equal a.Characterize.mc b.Characterize.mc
   && Float.abs (a.Characterize.fit.Mgf.a -. b.Characterize.fit.Mgf.a) < 1e-12
   && Float.abs (a.Characterize.fit.Mgf.b -. b.Characterize.fit.Mgf.b) < 1e-15
   && Float.abs (a.Characterize.fit.Mgf.c -. b.Characterize.fit.Mgf.c) < 1e-18
   && Interp.size a.Characterize.table = Interp.size b.Characterize.table
 
-let test_string_roundtrip () =
-  let chars = Lazy.force small_chars in
-  let restored = Char_io.of_string (Char_io.to_string chars) in
+let check_roundtrip chars restored =
   check_close "cell count preserved"
     (float_of_int (Array.length chars))
     (float_of_int (Array.length restored));
@@ -50,6 +53,79 @@ let test_string_roundtrip () =
             (states_equal sc rh.Characterize.states.(s)))
         ch.Characterize.states)
     chars
+
+let test_string_roundtrip () =
+  let chars = Lazy.force small_chars in
+  check_true "fixture carries MC moments"
+    (chars.(0).Characterize.states.(0).Characterize.mc <> None);
+  check_roundtrip chars (Char_io.of_string (Char_io.to_string chars))
+
+let without_mc chars =
+  Array.map
+    (fun (ch : Characterize.cell_char) ->
+      {
+        ch with
+        Characterize.states =
+          Array.map
+            (fun sc -> { sc with Characterize.mc = None })
+            ch.Characterize.states;
+      })
+    chars
+
+(* Version 2 marks an absent cross-check with "- -" and reads it back
+   as [None], not as placeholder numbers. *)
+let test_roundtrip_without_mc () =
+  let chars = without_mc (Lazy.force small_chars) in
+  let text = Char_io.to_string chars in
+  check_true "v2 header" (String.starts_with ~prefix:"rgleak-characterization 2\n" text);
+  let restored = Char_io.of_string text in
+  check_roundtrip chars restored;
+  Array.iter
+    (fun (ch : Characterize.cell_char) ->
+      Array.iter
+        (fun sc -> check_true "no MC after reload" (sc.Characterize.mc = None))
+        ch.Characterize.states)
+    restored
+
+(* A version 1 file: the MC moments are always present. *)
+let v1_payload =
+  {|rgleak-characterization 1
+param channel-length 90 3 3
+cell INV_X1 2
+state 0 9.5 3.25 9.4 3.5 9.375 3.4375 1e9 -0.19 0.0003 0.01 3
+72 40.5
+90 9.25
+108 2.125
+state 1 20.5 6.5 20.25 7 20 6.75 2e9 -0.18 0.0002 0.02 3
+72 80
+90 20
+108 5
+end
+|}
+
+let test_reads_v1 () =
+  let chars = Char_io.of_string v1_payload in
+  check_close "one cell" 1.0 (float_of_int (Array.length chars));
+  let st = chars.(0).Characterize.states in
+  (match (st.(0).Characterize.mc, st.(1).Characterize.mc) with
+  | Some m0, Some m1 ->
+    check_close ~tol:0.0 "state 0 mu_mc" 9.375 m0.Characterize.mu_mc;
+    check_close ~tol:0.0 "state 0 sigma_mc" 3.4375 m0.Characterize.sigma_mc;
+    check_close ~tol:0.0 "state 1 mu_mc" 20.0 m1.Characterize.mu_mc;
+    check_close ~tol:0.0 "state 1 sigma_mc" 6.75 m1.Characterize.sigma_mc
+  | _ -> Alcotest.fail "v1 MC moments not read");
+  check_close ~tol:0.0 "state 0 mu_ref" 9.4 st.(0).Characterize.mu_ref;
+  check_close ~tol:0.0 "table point" 9.25 (Characterize.leakage_at st.(0) 90.0);
+  (* A v1 file of a real characterization reads back like its v2 form:
+     with MC present the two versions differ only in the header. *)
+  let chars = Lazy.force small_chars in
+  let v2 = Char_io.to_string chars in
+  let v1 =
+    "rgleak-characterization 1"
+    ^ String.sub v2 25 (String.length v2 - 25)
+  in
+  check_true "relabelled header" (String.starts_with ~prefix:"rgleak-characterization 1\n" v1);
+  check_roundtrip chars (Char_io.of_string v1)
 
 let test_tables_roundtrip_numerically () =
   let chars = Lazy.force small_chars in
@@ -96,7 +172,22 @@ let test_format_errors () =
     (expect_error
        "rgleak-characterization 1\nparam L 90 3 3\ncell NOPE_X7 2\nend\n");
   check_true "truncated input rejected"
-    (expect_error "rgleak-characterization 1\nparam L 90 3 3\ncell INV_X1 2\n")
+    (expect_error "rgleak-characterization 1\nparam L 90 3 3\ncell INV_X1 2\n");
+  let inv_file ~version mc =
+    let state i =
+      Printf.sprintf "state %d 1 1 1 1 %s 1 -0.1 0 0 2\n80 2\n100 1\n" i mc
+    in
+    Printf.sprintf "rgleak-characterization %d\nparam L 90 3 3\ncell INV_X1 2\n%s%send\n"
+      version (state 0) (state 1)
+  in
+  check_true "well-formed v1 accepted"
+    (not (expect_error (inv_file ~version:1 "1 1")));
+  check_true "absent MC accepted in a v2 file"
+    (not (expect_error (inv_file ~version:2 "- -")));
+  check_true "absent MC rejected in a v1 file"
+    (expect_error (inv_file ~version:1 "- -"));
+  check_true "half-absent MC rejected"
+    (expect_error (inv_file ~version:2 "- 1"))
 
 let test_loaded_chars_estimate_identically () =
   let chars = Lazy.force small_chars in
@@ -196,6 +287,8 @@ let suite =
   ( "persistence",
     [
       case "char_io string roundtrip" test_string_roundtrip;
+      case "char_io v2 roundtrip without MC" test_roundtrip_without_mc;
+      case "char_io reads v1" test_reads_v1;
       case "char_io tables numeric" test_tables_roundtrip_numerically;
       case "char_io param" test_param_roundtrip;
       case "char_io file roundtrip" test_file_roundtrip;
