@@ -18,49 +18,9 @@ open Rgleak_core
 
 (* Argument-parsing failures raise Guard.Error (Invalid_input _): the
    per-command diagnostics handler maps each diagnostic class to its
-   own exit code (invalid input 2, numeric 3, internal 4). *)
-
-let parse_corr s =
-  let num what v =
-    match float_of_string_opt v with
-    | Some f -> f
-    | None ->
-      Guard.invalid
-        (Printf.sprintf "bad %s %S in correlation spec %S" what v s)
-  in
-  match String.split_on_char ':' s with
-  | [ "linear"; d ] -> Corr_model.Linear { dmax = num "distance" d }
-  | [ "spherical"; d ] -> Corr_model.Spherical { dmax = num "distance" d }
-  | [ "exp"; r ] -> Corr_model.Exponential { range = num "range" r }
-  | [ "gauss"; r ] -> Corr_model.Gaussian { range = num "range" r }
-  | [ "texp"; r; d ] ->
-    Corr_model.Truncated_exponential
-      { range = num "range" r; dmax = num "distance" d }
-  | _ ->
-    Guard.invalid
-      (Printf.sprintf
-         "cannot parse correlation %S (expected e.g. linear:120, exp:60, \
-          gauss:80, spherical:120, texp:60:120)"
-         s)
-
-let parse_mix_pairs s =
-  let entries = String.split_on_char ',' (String.trim s) in
-  List.map
-    (fun entry ->
-      match String.split_on_char ':' (String.trim entry) with
-      | [ name; w ] -> (
-        match float_of_string_opt w with
-        | Some w -> (String.trim name, w)
-        | None ->
-          Guard.invalid
-            (Printf.sprintf "bad weight in mix entry %S (want CELL:WEIGHT)"
-               entry))
-      | _ ->
-        Guard.invalid
-          (Printf.sprintf "bad mix entry %S (want CELL:WEIGHT)" entry))
-    entries
-
-let parse_mix s = Histogram.of_weights (parse_mix_pairs s)
+   own exit code (invalid input 2, numeric 3, internal 4).  The
+   correlation and mix grammars live with their types, in
+   Corr_model.of_spec and Histogram.parse_mix. *)
 
 let corr_arg =
   let doc =
@@ -68,6 +28,25 @@ let corr_arg =
      exp:RANGE, gauss:RANGE or texp:RANGE:DMAX (micrometres)."
   in
   Arg.(value & opt string "spherical:120" & info [ "corr" ] ~docv:"MODEL" ~doc)
+
+let n_arg =
+  Arg.(
+    required
+    & opt (some int) None
+    & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
+
+(* [estimate] defaults to the 8-cell ASIC mix of the validation sweeps,
+   the other early-mode subcommands to a 5-cell mix. *)
+let asic_mix =
+  "INV_X1:20,NAND2_X1:18,NOR2_X1:8,AND2_X1:8,OR2_X1:5,XOR2_X1:4,BUF_X1:5,DFF_X1:9"
+
+let small_mix = "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
+
+let mix_arg default =
+  Arg.(
+    value & opt string default
+    & info [ "mix" ] ~docv:"MIX"
+        ~doc:"Cell-usage mix as CELL:WEIGHT pairs, comma separated.")
 
 let p_arg =
   let doc =
@@ -93,7 +72,28 @@ let parse_method = function
     Guard.invalid
       (Printf.sprintf "unknown method %S (expected auto, linear, int2d or polar)" s)
 
-let corr_of s = Corr_model.create (parse_corr s) Process_param.default_channel_length
+let corr_of s =
+  Corr_model.create (Corr_model.of_spec s) Process_param.default_channel_length
+
+(* The die an early-mode subcommand estimates on: [width] x [height]
+   when given, else the square die of the gate count.  Bad dimensions
+   are invalid input, rejected before any characterization. *)
+let die_spec ?width ?height ~histogram n =
+  let square = Layout.square ~n () in
+  let dim flag given default =
+    match given with
+    | None -> default
+    | Some d when Float.is_finite d && d > 0.0 -> d
+    | Some _ ->
+      Guard.invalid
+        (Printf.sprintf "--%s must be a positive finite length in um" flag)
+  in
+  {
+    Estimate.histogram;
+    n;
+    width = dim "width" width (Layout.width square);
+    height = dim "height" height (Layout.height square);
+  }
 
 let char_arg =
   let doc =
@@ -341,6 +341,89 @@ let print_result label (r : Estimate.result) =
   Printf.printf "  method         : %s\n" r.Estimate.method_used;
   Printf.printf "  Vt mean factor : %.4f\n" r.Estimate.vt_mean_factor
 
+(* ---------- report files, golden baselines, the result cache ---------- *)
+
+module Vjson = Rgleak_valid.Vjson
+module Golden_diff = Rgleak_valid.Golden_diff
+module Cache = Rgleak_cache.Cache
+
+let read_file path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> Guard.invalid msg
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents)
+
+let json_arg schema =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"PATH"
+        ~doc:(Printf.sprintf "Write the %s report to $(docv)." schema))
+
+let golden_arg ~drift =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "golden" ] ~docv:"PATH"
+        ~doc:
+          ("Diff the report against the committed baseline at $(docv).  "
+          ^ drift))
+
+(* Diffs [current] against the baseline named by [--golden], if any, and
+   prints the drift; false when the drift is breaking.  [noun] names
+   the expected document in the error for a baseline of the wrong
+   shape. *)
+let golden_ok ~noun ~compare ~current = function
+  | None -> true
+  | Some path ->
+    let baseline =
+      try Vjson.parse_file path with
+      | Sys_error msg -> Guard.invalid msg
+      | Vjson.Parse_error msg ->
+        Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
+    in
+    let diff =
+      try compare ~baseline ~current
+      with Vjson.Parse_error msg ->
+        Guard.invalid
+          (Printf.sprintf "golden file %s is not %s: %s" path noun msg)
+    in
+    Format.printf "%a" Golden_diff.pp diff;
+    diff.Golden_diff.severity <> Golden_diff.Breaking
+
+let open_cache ?cap_bytes dir =
+  Cache.open_
+    ~on_corrupt:(fun d ->
+      Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
+    ?cap_bytes ~dir ()
+
+(* --cache-dir/--no-cache of batch and serve: the cache root to open,
+   or None when caching is off. *)
+let cache_dir_term =
+  let cache_dir =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "cache-dir" ] ~docv:"DIR"
+          ~doc:
+            "Root of the content-addressed result cache.  Defaults to \
+             \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
+             ~/.cache/rgleak.  Cached and uncached runs are bit-identical; \
+             corrupt entries are deleted and recomputed.")
+  in
+  let no_cache =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ]
+          ~doc:"Disable the on-disk cache (compute everything in-process).")
+  in
+  Term.(
+    const (fun dir no_cache ->
+        if no_cache then None
+        else Some (Option.value dir ~default:(Cache.default_dir ())))
+    $ cache_dir $ no_cache)
+
 (* ---------- cells ---------- *)
 
 let cells_cmd =
@@ -454,9 +537,6 @@ let characterize_cmd =
 (* ---------- estimate (early mode) ---------- *)
 
 let estimate_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
   let width_arg =
     Arg.(
       value & opt (some float) None
@@ -466,13 +546,6 @@ let estimate_cmd =
     Arg.(
       value & opt (some float) None
       & info [ "height" ] ~docv:"UM" ~doc:"Die height in micrometres.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,AND2_X1:8,OR2_X1:5,XOR2_X1:4,BUF_X1:5,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX"
-          ~doc:"Cell-usage mix as CELL:WEIGHT pairs, comma separated.")
   in
   (* Under tracing, [estimate] additionally exercises every estimator
      tier on the same problem, so one trace shows the linear layout
@@ -504,14 +577,12 @@ let estimate_cmd =
     with_telemetry tr @@ fun () ->
     (* Parse every argument before the (expensive) characterization so
        bad input fails fast with exit code 2. *)
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
     let method_ = parse_method method_ in
-    let layout = Layout.square ~n () in
-    let width = Option.value width ~default:(Layout.width layout) in
-    let height = Option.value height ~default:(Layout.height layout) in
+    let spec = die_spec ?width ?height ~histogram n in
+    let { Estimate.width; height; _ } = spec in
     let chars = chars_of char_file in
-    let spec = { Estimate.histogram; n; width; height } in
     let ctx = Estimate.context ?p ~chars ~corr ~histogram () in
     let describe = function
       | Estimate.Auto -> "auto"
@@ -552,8 +623,8 @@ let estimate_cmd =
     (Cmd.info "estimate"
        ~doc:"Early-mode full-chip leakage estimate from high-level characteristics")
     Term.(
-      const run $ n_arg $ width_arg $ height_arg $ mix_arg $ corr_arg $ p_arg
-      $ method_arg $ vt_arg $ char_arg $ jobs_arg $ robust_term $ trace_term)
+      const run $ n_arg $ width_arg $ height_arg $ mix_arg asic_mix $ corr_arg
+      $ p_arg $ method_arg $ vt_arg $ char_arg $ jobs_arg $ robust_term $ trace_term)
 
 (* ---------- signoff (late mode on a benchmark) ---------- *)
 
@@ -687,15 +758,6 @@ let signoff_cmd =
 (* ---------- yield ---------- *)
 
 let yield_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       value
@@ -706,18 +768,10 @@ let yield_cmd =
   let run n mix corr p budget ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
-    let layout = Layout.square ~n () in
+    let spec = die_spec ~histogram n in
     let chars = Characterize.default_library () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
-    in
     let r = Estimate.early ?p ~with_vt:true ~chars ~corr spec in
     let d = Distribution.of_estimate r in
     print_result (Printf.sprintf "leakage distribution (%d gates)" n) r;
@@ -739,36 +793,19 @@ let yield_cmd =
     (Cmd.info "yield"
        ~doc:"Leakage distribution quantiles and parametric yield vs a budget")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg $ robust_term
-      $ trace_term)
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ budget_arg
+      $ robust_term $ trace_term)
 
 (* ---------- sensitivity ---------- *)
 
 let sensitivity_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let run n mix corr p char_file ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
+    let spec = die_spec ~histogram n in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
-    in
     let report = Sensitivity.analyze ~chars ~corr ?p spec in
     Format.printf "%a" Sensitivity.pp report
   in
@@ -777,8 +814,8 @@ let sensitivity_cmd =
        ~doc:"What-if report: how the leakage statistics respond to mix, die \
              and gate-count changes")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ robust_term
-      $ trace_term)
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ char_arg
+      $ robust_term $ trace_term)
 
 (* ---------- convert ---------- *)
 
@@ -823,9 +860,7 @@ let convert_cmd =
       | _ ->
         (Verilog.to_string (Verilog.of_netlist netlist), Netlist.size netlist)
     in
-    let oc = open_out output in
-    output_string oc text;
-    close_out oc;
+    write_file output text;
     Printf.printf "wrote %s (%d gates, %s) to %s\n" spec.Benchmarks.name gates
       format output
   in
@@ -837,29 +872,12 @@ let convert_cmd =
 (* ---------- corners ---------- *)
 
 let corners_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let run n mix corr p ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
-    let layout = Layout.square ~n () in
-    let spec =
-      {
-        Estimate.histogram;
-        n;
-        width = Layout.width layout;
-        height = Layout.height layout;
-      }
-    in
+    let spec = die_spec ~histogram n in
     let results =
       Corners.analyze ?p ~param:Process_param.default_channel_length ~corr
         ~spec ()
@@ -873,31 +891,24 @@ let corners_cmd =
   Cmd.v
     (Cmd.info "corners"
        ~doc:"Leakage statistics across process/temperature corners")
-    Term.(const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ robust_term $ trace_term)
+    Term.(
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ robust_term
+      $ trace_term)
 
 (* ---------- profile ---------- *)
 
 let profile_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let run n mix corr p char_file ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
+    let { Estimate.width; height; _ } = die_spec ~histogram n in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
     let ctx = Estimate.context ?p ~chars ~corr ~histogram () in
     let prof =
       Variance_profile.compute ~corr ~rgcorr:(Estimate.correlation ctx) ~n
-        ~width:(Layout.width layout) ~height:(Layout.height layout) ()
+        ~width ~height ()
     in
     Format.printf "variance decomposition by pair separation:@.%a"
       Variance_profile.pp prof;
@@ -908,21 +919,12 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Decompose the leakage variance by gate-pair separation")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ robust_term
-      $ trace_term)
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ char_arg
+      $ robust_term $ trace_term)
 
 (* ---------- map ---------- *)
 
 let map_cmd =
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let tiles_arg =
     Arg.(value & opt int 12 & info [ "tiles" ] ~docv:"K" ~doc:"Tiles per axis.")
   in
@@ -932,10 +934,10 @@ let map_cmd =
   let run n mix corr p char_file tiles samples ro tr =
     with_diagnostics ro @@ fun () ->
     with_telemetry tr @@ fun () ->
-    let histogram = parse_mix mix in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr = corr_of corr in
+    let { Estimate.width; height; _ } = die_spec ~histogram n in
     let chars = chars_of char_file in
-    let layout = Layout.square ~n () in
     let p =
       match p with
       | Some p -> p
@@ -944,8 +946,7 @@ let map_cmd =
     in
     let rg = Random_gate.create ~chars ~histogram ~p () in
     let map =
-      Leakage_map.compute ~tiles ~samples ~rg ~corr ~n
-        ~width:(Layout.width layout) ~height:(Layout.height layout) ()
+      Leakage_map.compute ~tiles ~samples ~rg ~corr ~n ~width ~height ()
     in
     print_string (Leakage_map.render map);
     Printf.printf "hotspot ratio (peak tile / mean tile): %.3f over %d dies\n"
@@ -955,8 +956,8 @@ let map_cmd =
     (Cmd.info "map"
        ~doc:"Spatial leakage map: per-tile statistics and the hotspot ratio")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ char_arg $ tiles_arg
-      $ samples_arg $ robust_term $ trace_term)
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ char_arg
+      $ tiles_arg $ samples_arg $ robust_term $ trace_term)
 
 (* ---------- sleep ---------- *)
 
@@ -1007,8 +1008,6 @@ let sleep_cmd =
 
 let validate_cmd =
   let module Experiment = Rgleak_valid.Experiment in
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
   let sweep_arg =
     Arg.(
       value
@@ -1028,22 +1027,11 @@ let validate_cmd =
              seed): reruns and different $(b,--jobs) values reproduce it bit \
              for bit.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the rgleak-validate/1 report to $(docv).")
-  in
   let golden_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"PATH"
-          ~doc:
-            "Diff the report against the committed baseline at $(docv).  \
-             Drift within the baseline's MC confidence intervals is benign; \
-             structural changes or drift beyond them exit non-zero.")
+    golden_arg
+      ~drift:
+        "Drift within the baseline's MC confidence intervals is benign; \
+         structural changes or drift beyond them exit non-zero."
   in
   let run sweep_name seed json golden jobs ro tr =
     with_diagnostics ro @@ fun () ->
@@ -1058,25 +1046,8 @@ let validate_cmd =
         Printf.printf "report written to %s\n" path)
       json;
     let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try
-            Golden_diff.compare ~baseline ~current:(Experiment.to_json report)
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not a validate report: %s"
-                 path msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
+      golden_ok ~noun:"a validate report" ~compare:Golden_diff.compare
+        ~current:(Experiment.to_json report) golden
     in
     if not (report.Experiment.pass && golden_ok) then exit 1
   in
@@ -1086,24 +1057,14 @@ let validate_cmd =
          "Statistical validation: paper-table sweeps with Monte-Carlo \
           equivalence tests and golden-artifact regression")
     Term.(
-      const run $ sweep_arg $ seed_arg $ json_arg $ golden_arg $ jobs_arg
+      const run $ sweep_arg $ seed_arg $ json_arg "rgleak-validate/1"
+      $ golden_arg $ jobs_arg
       $ robust_term $ trace_term)
 
 (* ---------- tail ---------- *)
 
 let tail_cmd =
   let module Tail_test = Rgleak_valid.Tail_test in
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
-  let n_arg =
-    Arg.(required & opt (some int) None & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       required
@@ -1139,23 +1100,11 @@ let tail_cmd =
              calibrate automatically so the budget sits near the proposal \
              median (~50% hit rate).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the rgleak-tail/1 report to $(docv).")
-  in
   let golden_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"PATH"
-          ~doc:
-            "Diff the report against the committed baseline at $(docv).  \
-             Drift of the exceedance probability within the baseline's own \
-             CI is benign; structural changes or drift beyond it exit \
-             non-zero.")
+    golden_arg
+      ~drift:
+        "Drift of the exceedance probability within the baseline's own CI \
+         is benign; structural changes or drift beyond it exit non-zero."
   in
   let run n mix corr p budget replicas seed shift char_file json golden jobs ro
       tr =
@@ -1179,8 +1128,8 @@ let tail_cmd =
     | Some p when not (p >= 0.0 && p <= 1.0) ->
       Guard.invalid "p must be in [0, 1]"
     | _ -> ());
-    let mix_pairs = parse_mix_pairs mix in
-    let family = parse_corr corr in
+    let mix_pairs = Histogram.parse_mix mix in
+    let family = Corr_model.of_spec corr in
     let chars = chars_of char_file in
     let p =
       match p with
@@ -1229,33 +1178,14 @@ let tail_cmd =
     in
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Vjson.to_string ~indent:2 doc));
+        write_file path (Vjson.to_string ~indent:2 doc);
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try Golden_diff.compare_tail ~baseline ~current:doc
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not a tail report: %s" path
-                 msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
-    in
-    if not golden_ok then exit 1
+    if
+      not
+        (golden_ok ~noun:"a tail report" ~compare:Golden_diff.compare_tail
+           ~current:doc golden)
+    then exit 1
   in
   Cmd.v
     (Cmd.info "tail"
@@ -1263,29 +1193,15 @@ let tail_cmd =
          "Tail-risk estimation: importance-sampled P(leakage > budget) with \
           high quantiles, confidence intervals and ESS diagnostics")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg
-      $ replicas_arg $ seed_arg $ shift_arg $ char_arg $ json_arg $ golden_arg
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ budget_arg
+      $ replicas_arg $ seed_arg $ shift_arg $ char_arg
+      $ json_arg "rgleak-tail/1" $ golden_arg
       $ jobs_arg $ robust_term $ trace_term)
 
 (* ---------- optimize ---------- *)
 
 let optimize_cmd =
-  let module Golden_diff = Rgleak_valid.Golden_diff in
-  let module Vjson = Rgleak_valid.Vjson in
-  let module Cache = Rgleak_cache.Cache in
   let module Memo = Rgleak_cache.Memo in
-  let n_arg =
-    Arg.(
-      required
-      & opt (some int) None
-      & info [ "n" ] ~docv:"GATES" ~doc:"Gate count.")
-  in
-  let mix_arg =
-    Arg.(
-      value
-      & opt string "INV_X1:20,NAND2_X1:18,NOR2_X1:8,XOR2_X1:4,DFF_X1:9"
-      & info [ "mix" ] ~docv:"MIX" ~doc:"Cell-usage mix as CELL:WEIGHT pairs.")
-  in
   let budget_arg =
     Arg.(
       required
@@ -1314,22 +1230,11 @@ let optimize_cmd =
              arguments: reruns and different $(b,--jobs) values reproduce it \
              byte for byte.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write the rgleak-optimize/1 report to $(docv).")
-  in
   let golden_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"PATH"
-          ~doc:
-            "Diff the report against the committed baseline at $(docv).  The \
-             report is deterministic, so any drift beyond bit-stability \
-             epsilon (or any structural change) exits non-zero.")
+    golden_arg
+      ~drift:
+        "The report is deterministic, so any drift beyond bit-stability \
+         epsilon (or any structural change) exits non-zero."
   in
   let cache_dir_arg =
     Arg.(
@@ -1358,8 +1263,7 @@ let optimize_cmd =
         Guard.invalid
           (Printf.sprintf "unknown flavor %S (expected lvt, svt or hvt)" start)
     in
-    let mix_pairs = parse_mix_pairs mix in
-    let histogram = Histogram.of_weights mix_pairs in
+    let histogram = Histogram.(of_weights (parse_mix mix)) in
     let corr_model = corr_of corr in
     let chars = chars_of char_file in
     let p =
@@ -1377,12 +1281,7 @@ let optimize_cmd =
       match cache_dir with
       | None -> None
       | Some dir ->
-        let cache =
-          Cache.open_
-            ~on_corrupt:(fun d ->
-              Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-            ~dir ()
-        in
+        let cache = open_cache dir in
         let used =
           Array.of_list
             (List.sort_uniq compare
@@ -1477,33 +1376,14 @@ let optimize_cmd =
     in
     Option.iter
       (fun path ->
-        let oc = open_out_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> output_string oc (Vjson.to_string ~indent:2 doc));
+        write_file path (Vjson.to_string ~indent:2 doc);
         Printf.printf "report written to %s\n" path)
       json;
-    let golden_ok =
-      match golden with
-      | None -> true
-      | Some path ->
-        let baseline =
-          try Vjson.parse_file path with
-          | Sys_error msg -> Guard.invalid msg
-          | Vjson.Parse_error msg ->
-            Guard.invalid (Printf.sprintf "bad golden file %s: %s" path msg)
-        in
-        let diff =
-          try Golden_diff.compare_optimize ~baseline ~current:doc
-          with Vjson.Parse_error msg ->
-            Guard.invalid
-              (Printf.sprintf "golden file %s is not an optimize report: %s"
-                 path msg)
-        in
-        Format.printf "%a" Golden_diff.pp diff;
-        diff.Golden_diff.severity <> Golden_diff.Breaking
-    in
-    if not golden_ok then exit 1
+    if
+      not
+        (golden_ok ~noun:"an optimize report"
+           ~compare:Golden_diff.compare_optimize ~current:doc golden)
+    then exit 1
   in
   Cmd.v
     (Cmd.info "optimize"
@@ -1513,14 +1393,14 @@ let optimize_cmd =
           timing-slack proxy budget, each swap re-estimated in O(n) and \
           bit-identical to a cold rebuild")
     Term.(
-      const run $ n_arg $ mix_arg $ corr_arg $ p_arg $ budget_arg $ start_arg
-      $ seed_arg $ char_arg $ cache_dir_arg $ json_arg $ golden_arg $ jobs_arg
-      $ robust_term $ trace_term)
+      const run $ n_arg $ mix_arg small_mix $ corr_arg $ p_arg $ budget_arg
+      $ start_arg $ seed_arg $ char_arg $ cache_dir_arg
+      $ json_arg "rgleak-optimize/1" $ golden_arg $ jobs_arg $ robust_term
+      $ trace_term)
 
 (* ---------- batch ---------- *)
 
 let batch_cmd =
-  let module Cache = Rgleak_cache.Cache in
   let module Batch = Rgleak_cache.Batch in
   let manifest_arg =
     Arg.(
@@ -1541,23 +1421,6 @@ let batch_cmd =
             "Write the rgleak-batch/1 JSONL report to $(docv) instead of \
              stdout.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Root of the content-addressed result cache.  Defaults to \
-             \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
-             ~/.cache/rgleak.  Cached and uncached runs are bit-identical; \
-             corrupt entries are deleted and recomputed.")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the on-disk cache (compute everything in-process).")
-  in
   (* The worst scenario's class, as Guard.exit_code numbers them. *)
   let class_of = function
     | 0 -> "ok"
@@ -1567,37 +1430,15 @@ let batch_cmd =
   in
   (* Runs the manifest and returns the exit code, so the caller exits
      only after the telemetry artifacts are written. *)
-  let execute manifest_path out cache_dir no_cache =
-    let text =
-      try
-        let ic = open_in_bin manifest_path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      with Sys_error msg -> Guard.invalid msg
-    in
-    let scenarios = Batch.parse_manifest text in
-    let cache =
-      if no_cache then None
-      else
-        let dir =
-          match cache_dir with Some d -> d | None -> Cache.default_dir ()
-        in
-        Some
-          (Cache.open_
-             ~on_corrupt:(fun d ->
-               Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-             ~dir ())
-    in
+  let execute manifest_path out cache_dir =
+    let scenarios = Batch.parse_manifest (read_file manifest_path) in
+    let cache = Option.map open_cache cache_dir in
     let outcomes = Batch.run ?cache scenarios in
     let report = Batch.report outcomes in
     (match out with
     | None -> print_string report
     | Some path ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc report);
+      write_file path report;
       Printf.eprintf "batch: wrote %d records to %s\n%!"
         (List.length outcomes) path);
     Option.iter
@@ -1612,12 +1453,12 @@ let batch_cmd =
       cache;
     Batch.exit_code outcomes
   in
-  let run manifest_path out cache_dir no_cache jobs ro tr =
+  let run manifest_path out cache_dir jobs ro tr =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     let code =
       with_telemetry ~class_of tr (fun () ->
-          execute manifest_path out cache_dir no_cache)
+          execute manifest_path out cache_dir)
     in
     if code <> 0 then exit code
   in
@@ -1630,14 +1471,13 @@ let batch_cmd =
           across cold/warm caches; per-scenario failures become error \
           records and the exit code is the highest failure class.")
     Term.(
-      const run $ manifest_arg $ out_arg $ cache_dir_arg $ no_cache_arg
-      $ jobs_arg $ robust_term $ trace_term)
+      const run $ manifest_arg $ out_arg $ cache_dir_term $ jobs_arg
+      $ robust_term $ trace_term)
 
 (* ---------- report ---------- *)
 
 let report_cmd =
   let module Report = Rgleak_valid.Report in
-  let module Vjson = Rgleak_valid.Vjson in
   let ledgers_arg =
     Arg.(
       value & pos_all string []
@@ -1700,10 +1540,7 @@ let report_cmd =
           let doc = Vjson.to_string ~indent:2 (Report.to_json agg) in
           if path = "-" then print_string doc
           else begin
-            let oc = open_out_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_out_noerr oc)
-              (fun () -> output_string oc doc);
+            write_file path doc;
             Printf.eprintf "report: wrote %s\n%!" path
           end)
         json
@@ -1741,7 +1578,6 @@ let socket_arg =
         ~doc:"Unix-domain socket path of the estimation daemon.")
 
 let serve_cmd =
-  let module Cache = Rgleak_cache.Cache in
   let module Serve = Rgleak_serve.Serve in
   let max_queue_arg =
     Arg.(
@@ -1773,24 +1609,8 @@ let serve_cmd =
              coldest entries are evicted until total on-disk bytes fit.  \
              Default: unbounded.")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Root of the shared content-addressed result cache.  Defaults to \
-             \\$RGLEAK_CACHE_DIR, then \\$XDG_CACHE_HOME/rgleak, then \
-             ~/.cache/rgleak.")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Disable the on-disk cache (compute everything in-process).")
-  in
-  let run socket_path max_queue shed_threshold cache_cap cache_dir no_cache
-      jobs ro tr =
+  let run socket_path max_queue shed_threshold cache_cap cache_dir jobs ro tr
+      =
     with_diagnostics ro @@ fun () ->
     apply_jobs jobs;
     with_telemetry tr @@ fun () ->
@@ -1801,18 +1621,7 @@ let serve_cmd =
     Option.iter
       (fun b -> if b < 0 then Guard.invalid "--cache-cap must be >= 0")
       cache_cap;
-    let cache =
-      if no_cache then None
-      else
-        let dir =
-          match cache_dir with Some d -> d | None -> Cache.default_dir ()
-        in
-        Some
-          (Cache.open_
-             ~on_corrupt:(fun d ->
-               Printf.eprintf "rgleak: warning: %s\n%!" (Guard.to_string d))
-             ?cap_bytes:cache_cap ~dir ())
-    in
+    let cache = Option.map (open_cache ?cap_bytes:cache_cap) cache_dir in
     Serve.run
       ~on_listen:(fun () ->
         Printf.eprintf "serve: listening on %s (max queue %d%s)\n%!"
@@ -1836,7 +1645,7 @@ let serve_cmd =
           for the same manifest lines.")
     Term.(
       const run $ socket_arg $ max_queue_arg $ shed_arg $ cache_cap_arg
-      $ cache_dir_arg $ no_cache_arg $ jobs_arg $ robust_term $ trace_term)
+      $ cache_dir_term $ jobs_arg $ robust_term $ trace_term)
 
 let client_cmd =
   let module Protocol = Rgleak_serve.Protocol in
@@ -1880,14 +1689,8 @@ let client_cmd =
       match (manifest, stats, ping, shutdown) with
       | Some path, false, false, false ->
         let text =
-          try
-            if path = "-" then In_channel.input_all In_channel.stdin
-            else
-              let ic = open_in_bin path in
-              Fun.protect
-                ~finally:(fun () -> close_in_noerr ic)
-                (fun () -> really_input_string ic (in_channel_length ic))
-          with Sys_error msg -> Guard.invalid msg
+          if path = "-" then In_channel.input_all In_channel.stdin
+          else read_file path
         in
         (Protocol.Estimate, text)
       | None, true, false, false -> (Protocol.Stats, "")

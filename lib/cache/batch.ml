@@ -4,7 +4,6 @@ module Parallel = Rgleak_num.Parallel
 module Corr_model = Rgleak_process.Corr_model
 module Process_param = Rgleak_process.Process_param
 module Characterize = Rgleak_cells.Characterize
-module Library = Rgleak_cells.Library
 module Signal_prob = Rgleak_cells.Signal_prob
 module Histogram = Rgleak_circuit.Histogram
 module Layout = Rgleak_circuit.Layout
@@ -54,7 +53,11 @@ let () =
     (fun t -> Obs.declare_hist ~owner:"batch" ("batch.tier." ^ t ^ "_s"))
     [ "auto"; "linear"; "int2d"; "polar"; "exact"; "mc"; "tail" ]
 
-let tier_of_name line = function
+(* Every manifest diagnostic names its line: [parse_manifest] adds the
+   prefix to whatever [Invalid_input] a line raises. *)
+let fail fmt = Printf.ksprintf Guard.invalid fmt
+
+let tier_of_name = function
   | "auto" -> Auto
   | "linear" -> Linear
   | "int2d" -> Integral_2d
@@ -63,28 +66,20 @@ let tier_of_name line = function
   | "mc" -> Mc
   | "tail" -> Tail
   | s ->
-    Guard.invalid
-      (Printf.sprintf
-         "manifest line %d: unknown tier %S (want auto, linear, int2d, \
-          polar, exact, mc or tail)"
-         line s)
+    fail "unknown tier %S (want auto, linear, int2d, polar, exact, mc or \
+          tail)"
+      s
 
 (* Canonical spellings use hex floats so a key never depends on decimal
    rendering quirks. *)
-let family_canon = function
-  | Corr_model.Linear { dmax } -> Printf.sprintf "linear:%h" dmax
-  | Corr_model.Spherical { dmax } -> Printf.sprintf "spherical:%h" dmax
-  | Corr_model.Exponential { range } -> Printf.sprintf "exp:%h" range
-  | Corr_model.Gaussian { range } -> Printf.sprintf "gauss:%h" range
-  | Corr_model.Truncated_exponential { range; dmax } ->
-    Printf.sprintf "texp:%h:%h" range dmax
+let hex = Printf.sprintf "%h"
 
 let mix_canon mix =
   List.sort compare mix
   |> List.map (fun (name, w) -> Printf.sprintf "%s:%h" name w)
   |> String.concat ","
 
-let p_canon = function None -> "auto" | Some p -> Printf.sprintf "%h" p
+let p_canon = function None -> "auto" | Some p -> hex p
 
 let geom_canon s =
   match s.s_dims with
@@ -95,7 +90,7 @@ let scenario_key_parts s =
   Memo.chars_key_parts ~temp_celsius:s.s_temp
   @ [
       "mix=" ^ mix_canon s.s_mix;
-      "corr=" ^ family_canon s.s_family;
+      "corr=" ^ Corr_model.to_spec ~num:hex s.s_family;
       "p=" ^ p_canon s.s_p;
       Printf.sprintf "n=%d" s.s_n;
       "geom=" ^ geom_canon s;
@@ -127,98 +122,55 @@ let known_fields =
     "height"; "vt"; "replicas"; "temp"; "budget"; "shift";
   ]
 
-let fail_line line fmt =
-  Printf.ksprintf
-    (fun s -> Guard.invalid (Printf.sprintf "manifest line %d: %s" line s))
-    fmt
-
-let parse_family line s =
-  let num what v =
-    match float_of_string_opt v with
-    | Some f when Float.is_finite f && f > 0.0 -> f
-    | _ -> fail_line line "bad %s %S in correlation spec %S" what v s
-  in
-  match String.split_on_char ':' s with
-  | [ "linear"; d ] -> Corr_model.Linear { dmax = num "distance" d }
-  | [ "spherical"; d ] -> Corr_model.Spherical { dmax = num "distance" d }
-  | [ "exp"; r ] -> Corr_model.Exponential { range = num "range" r }
-  | [ "gauss"; r ] -> Corr_model.Gaussian { range = num "range" r }
-  | [ "texp"; r; d ] ->
-    Corr_model.Truncated_exponential
-      { range = num "range" r; dmax = num "distance" d }
-  | _ ->
-    fail_line line
-      "cannot parse correlation %S (expected e.g. linear:120, exp:60, \
-       gauss:80, spherical:120, texp:60:120)"
-      s
-
-let parse_mix line s =
-  let entries = String.split_on_char ',' (String.trim s) in
-  List.map
-    (fun entry ->
-      match String.split_on_char ':' (String.trim entry) with
-      | [ name; w ] -> (
-        let name = String.trim name in
-        (match Library.index_of name with
-        | _ -> ()
-        | exception Not_found -> fail_line line "unknown cell %S" name);
-        match float_of_string_opt w with
-        | Some w when Float.is_finite w && w >= 0.0 -> (name, w)
-        | _ -> fail_line line "bad weight in mix entry %S" entry)
-      | _ -> fail_line line "bad mix entry %S (want CELL:WEIGHT)" entry)
-    entries
-
 let parse_scenario ~line json =
   let fields =
     match json with
     | Vjson.Obj kvs -> kvs
-    | _ -> fail_line line "expected a JSON object"
+    | _ -> fail "expected a JSON object"
   in
   List.iter
     (fun (k, _) ->
       if not (List.mem k known_fields) then
-        fail_line line "unknown field %S (known: %s)" k
+        fail "unknown field %S (known: %s)" k
           (String.concat ", " known_fields))
     fields;
   let field k = List.assoc_opt k fields in
   let str k v =
     match v with
     | Vjson.Str s -> s
-    | _ -> fail_line line "field %S must be a string" k
+    | _ -> fail "field %S must be a string" k
   in
   let num k v =
     match v with
     | Vjson.Num x when Float.is_finite x -> x
-    | _ -> fail_line line "field %S must be a finite number" k
+    | _ -> fail "field %S must be a finite number" k
   in
   let int k v =
     let x = num k v in
     if Float.is_integer x then int_of_float x
-    else fail_line line "field %S must be an integer" k
+    else fail "field %S must be an integer" k
   in
   let required k =
     match field k with
     | Some v -> v
-    | None -> fail_line line "missing required field %S" k
+    | None -> fail "missing required field %S" k
   in
   let n = int "n" (required "n") in
-  if n < 1 then fail_line line "n must be at least 1";
-  let mix_s = str "mix" (required "mix") in
-  if String.trim mix_s = "" then fail_line line "empty cell mix";
-  let s_mix = parse_mix line mix_s in
-  let s_family = parse_family line (str "corr" (required "corr")) in
+  if n < 1 then fail "n must be at least 1";
+  let s_mix = Histogram.parse_mix (str "mix" (required "mix")) in
+  let s_family = Corr_model.of_spec (str "corr" (required "corr")) in
   let s_p =
     Option.map
       (fun v ->
         let p = num "p" v in
-        if p < 0.0 || p > 1.0 then fail_line line "p must be in [0, 1]";
+        if p < 0.0 || p > 1.0 then fail "p must be in [0, 1]";
         p)
       (field "p")
   in
   let s_tier =
     match field "tier" with
     | None -> Auto
-    | Some v -> tier_of_name line (str "tier" v)
+    | Some v -> tier_of_name (str "tier" v)
   in
   let s_seed = match field "seed" with None -> 0 | Some v -> int "seed" v in
   let s_aspect =
@@ -226,14 +178,14 @@ let parse_scenario ~line json =
     | None -> 1.0
     | Some v ->
       let a = num "aspect" v in
-      if a <= 0.0 then fail_line line "aspect must be positive";
+      if a <= 0.0 then fail "aspect must be positive";
       a
   in
   let dim k =
     Option.map
       (fun v ->
         let d = num k v in
-        if d <= 0.0 then fail_line line "%s must be positive" k;
+        if d <= 0.0 then fail "%s must be positive" k;
         d)
       (field k)
   in
@@ -241,20 +193,20 @@ let parse_scenario ~line json =
     match (dim "width", dim "height") with
     | Some w, Some h -> Some (w, h)
     | None, None -> None
-    | _ -> fail_line line "width and height must be given together"
+    | _ -> fail "width and height must be given together"
   in
   let s_vt =
     match field "vt" with
     | None -> false
     | Some (Vjson.Bool b) -> b
-    | Some _ -> fail_line line "field \"vt\" must be a boolean"
+    | Some _ -> fail "field \"vt\" must be a boolean"
   in
   let s_replicas =
     match field "replicas" with
     | None -> 400
     | Some v ->
       let r = int "replicas" v in
-      if r < 2 then fail_line line "replicas must be at least 2";
+      if r < 2 then fail "replicas must be at least 2";
       r
   in
   let s_temp = Option.map (num "temp") (field "temp") in
@@ -264,7 +216,7 @@ let parse_scenario ~line json =
     Option.map
       (fun v ->
         let b = num "budget" v in
-        if not (b > 0.0) then fail_line line "budget must be positive";
+        if not (b > 0.0) then fail "budget must be positive";
         b)
       (field "budget")
   in
@@ -272,12 +224,12 @@ let parse_scenario ~line json =
   (match s_tier with
   | Tail ->
     if s_budget = None then
-      fail_line line "tail tier requires a budget field (uA)"
+      fail "tail tier requires a budget field (uA)"
   | _ ->
     if s_budget <> None then
-      fail_line line "field \"budget\" only applies to the tail tier";
+      fail "field \"budget\" only applies to the tail tier";
     if s_shift <> None then
-      fail_line line "field \"shift\" only applies to the tail tier");
+      fail "field \"shift\" only applies to the tail tier");
   let s =
     {
       s_id = "";
@@ -301,7 +253,7 @@ let parse_scenario ~line json =
     match field "id" with
     | Some v ->
       let id = str "id" v in
-      if id = "" then fail_line line "empty id" else id
+      if id = "" then fail "empty id" else id
     | None -> derived_id s
   in
   { s with s_id }
@@ -313,12 +265,15 @@ let parse_manifest text =
          let line = i + 1 in
          let trimmed = String.trim raw in
          if trimmed <> "" && trimmed.[0] <> '#' then
-           let json =
-             try Vjson.parse trimmed
-             with Vjson.Parse_error msg ->
-               fail_line line "malformed JSON (%s)" msg
+           let scenario =
+             try
+               parse_scenario ~line
+                 (try Vjson.parse trimmed
+                  with Vjson.Parse_error msg -> fail "malformed JSON (%s)" msg)
+             with Guard.Error (Guard.Invalid_input msg) ->
+               fail "manifest line %d: %s" line msg
            in
-           scenarios := parse_scenario ~line json :: !scenarios);
+           scenarios := scenario :: !scenarios);
   match List.rev !scenarios with
   | [] -> Guard.invalid "empty manifest: no scenarios to run"
   | scenarios -> scenarios
@@ -469,7 +424,7 @@ let run_scenario state scen =
         let key_parts =
           ctx_e.e_parts
           @ [
-              "corr=" ^ family_canon scen.s_family;
+              "corr=" ^ Corr_model.to_spec ~num:hex scen.s_family;
               Printf.sprintf "site=%h:%h" layout.Layout.site_w
                 layout.Layout.site_h;
             ]

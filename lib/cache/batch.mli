@@ -9,8 +9,10 @@
      "corr": "spherical:120", "tier": "linear", "seed": 7}
     v}
 
-    Fields: [n] (gates, required), [mix] (CELL:WEIGHT list, required),
-    [corr] (correlation spec as in the CLI, required); optional [id]
+    Fields: [n] (gates, required), [mix] (CELL:WEIGHT list, the
+    {!Rgleak_circuit.Histogram.parse_mix} grammar, required), [corr]
+    (the {!Rgleak_process.Corr_model.of_spec} grammar, required);
+    optional [id]
     (defaults to a content-derived hash), [p] (signal probability;
     default: the conservative maximizing setting), [tier] ("auto",
     "linear", "int2d", "polar", "exact", "mc", "tail"; default "auto"),

@@ -1,4 +1,5 @@
 open Rgleak_cells
+module Guard = Rgleak_num.Guard
 
 type t = float array
 
@@ -7,17 +8,35 @@ let normalize weights =
   if total <= 0.0 then invalid_arg "Histogram: total weight must be positive";
   Array.map (fun w -> w /. total) weights
 
+let cell_index name =
+  try Library.index_of name
+  with Not_found -> Guard.invalid (Printf.sprintf "unknown cell %S" name)
+
 let of_weights pairs =
-  if pairs = [] then
-    Rgleak_num.Guard.invalid "Histogram.of_weights: empty cell mix";
+  if pairs = [] then Guard.invalid "Histogram.of_weights: empty cell mix";
   let weights = Array.make Library.size 0.0 in
   List.iter
     (fun (name, w) ->
       if w < 0.0 then invalid_arg "Histogram.of_weights: negative weight";
-      let i = Library.index_of name in
+      let i = cell_index name in
       weights.(i) <- weights.(i) +. w)
     pairs;
   normalize weights
+
+let parse_mix s =
+  let fail fmt = Printf.ksprintf Guard.invalid fmt in
+  if String.trim s = "" then fail "empty cell mix";
+  List.map
+    (fun entry ->
+      match String.split_on_char ':' (String.trim entry) with
+      | [ name; w ] -> (
+        let name = String.trim name in
+        ignore (cell_index name);
+        match float_of_string_opt w with
+        | Some w when Float.is_finite w && w >= 0.0 -> (name, w)
+        | _ -> fail "bad weight in mix entry %S" entry)
+      | _ -> fail "bad mix entry %S (want CELL:WEIGHT)" entry)
+    (String.split_on_char ',' s)
 
 let of_counts counts =
   if Array.length counts <> Library.size then

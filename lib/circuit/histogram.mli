@@ -10,9 +10,17 @@ type t = private float array
 
 val of_weights : (string * float) list -> t
 (** Builds a histogram from (cell name, weight) pairs; weights need not
-    be normalized.  Unlisted cells get zero.  Raises [Not_found] on an
-    unknown cell name, [Invalid_argument] on non-positive total, and
-    {!Rgleak_num.Guard.Error} ([Invalid_input]) on an empty mix. *)
+    be normalized.  Unlisted cells get zero.  Raises
+    {!Rgleak_num.Guard.Error} ([Invalid_input]) on an unknown cell name
+    or an empty mix, and [Invalid_argument] on a negative weight or a
+    non-positive total. *)
+
+val parse_mix : string -> (string * float) list
+(** Parses a mix spec: comma-separated [CELL:WEIGHT] entries, e.g.
+    ["INV_X1:3,NAND2_X1:2"].  Each entry must name a library cell and
+    carry a finite non-negative weight; an all-zero mix passes here and
+    fails in {!of_weights}.  Raises {!Rgleak_num.Guard.Error}
+    ([Invalid_input]) on an empty or malformed spec. *)
 
 val of_counts : int array -> t
 (** Normalizes integer per-cell counts (length must equal library size). *)

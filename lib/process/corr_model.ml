@@ -20,6 +20,36 @@ let create fam p =
   validate fam;
   { fam; p }
 
+let of_spec s =
+  let num what v =
+    match float_of_string_opt v with
+    | Some f when Float.is_finite f && f > 0.0 -> f
+    | _ ->
+      Rgleak_num.Guard.invalid
+        (Printf.sprintf "bad %s %S in correlation spec %S" what v s)
+  in
+  match String.split_on_char ':' s with
+  | [ "linear"; d ] -> Linear { dmax = num "distance" d }
+  | [ "spherical"; d ] -> Spherical { dmax = num "distance" d }
+  | [ "exp"; r ] -> Exponential { range = num "range" r }
+  | [ "gauss"; r ] -> Gaussian { range = num "range" r }
+  | [ "texp"; r; d ] ->
+    Truncated_exponential { range = num "range" r; dmax = num "distance" d }
+  | _ ->
+    Rgleak_num.Guard.invalid
+      (Printf.sprintf
+         "cannot parse correlation %S (expected e.g. linear:120, exp:60, \
+          gauss:80, spherical:120, texp:60:120)"
+         s)
+
+let to_spec ~num = function
+  | Linear { dmax } -> "linear:" ^ num dmax
+  | Spherical { dmax } -> "spherical:" ^ num dmax
+  | Exponential { range } -> "exp:" ^ num range
+  | Gaussian { range } -> "gauss:" ^ num range
+  | Truncated_exponential { range; dmax } ->
+    Printf.sprintf "texp:%s:%s" (num range) (num dmax)
+
 let wid t d =
   let d = Float.abs d in
   match t.fam with

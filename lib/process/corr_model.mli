@@ -32,6 +32,17 @@ type wid_family =
           positive definite in 2-D (mild truncation is harmless in
           practice, aggressive truncation is not). *)
 
+val of_spec : string -> wid_family
+(** Parses a correlation spec: [linear:DMAX], [spherical:DMAX],
+    [exp:RANGE], [gauss:RANGE] or [texp:RANGE:DMAX] (micrometres).
+    Every number must be finite and positive.  Raises
+    {!Rgleak_num.Guard.Error} ([Invalid_input]) otherwise. *)
+
+val to_spec : num:(float -> string) -> wid_family -> string
+(** The spec string {!of_spec} reads, each number rendered by [num]:
+    [Printf.sprintf "%h"] gives the exact spelling cache keys use,
+    [Printf.sprintf "%g"] the short one reports and labels use. *)
+
 type t
 (** A complete correlation model: WID family plus the D2D floor derived
     from a parameter's variance split. *)

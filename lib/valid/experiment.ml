@@ -55,20 +55,13 @@ let standby_mix =
     ("OAI21_X1", 8.0); ("DFF_X1", 25.0); ("DFFR_X1", 10.0); ("INV_X1", 10.0);
   ]
 
-let family_spec = function
-  | Corr_model.Linear { dmax } -> Printf.sprintf "linear:%g" dmax
-  | Corr_model.Spherical { dmax } -> Printf.sprintf "spherical:%g" dmax
-  | Corr_model.Exponential { range } -> Printf.sprintf "exp:%g" range
-  | Corr_model.Gaussian { range } -> Printf.sprintf "gauss:%g" range
-  | Corr_model.Truncated_exponential { range; dmax } ->
-    Printf.sprintf "texp:%g:%g" range dmax
-
 let point ?(aspect = 1.0) ?(p = 0.5) ?(mix_name = "asic") ?(mix = asic_mix)
     ?(replicas = 400) ~n family =
   {
     label =
-      Printf.sprintf "n%d-a%g-%s-p%g-%s" n aspect (family_spec family) p
-        mix_name;
+      Printf.sprintf "n%d-a%g-%s-p%g-%s" n aspect
+        (Corr_model.to_spec ~num:(Printf.sprintf "%g") family)
+        p mix_name;
     n;
     aspect;
     family;
@@ -395,7 +388,9 @@ let point_json p =
       ("label", Vjson.Str p.point.label);
       ("n", Vjson.Num (float_of_int p.point.n));
       ("aspect", Vjson.Num p.point.aspect);
-      ("corr", Vjson.Str (family_spec p.point.family));
+      ( "corr",
+        Vjson.Str (Corr_model.to_spec ~num:(Printf.sprintf "%g") p.point.family)
+      );
       ("p", Vjson.Num p.point.p);
       ("mix", Vjson.Str p.point.mix_name);
       ("replicas", Vjson.Num (float_of_int p.point.replicas));

@@ -51,9 +51,6 @@ val sweep_named : string -> sweep
 (** ["quick"] or ["default"]; raises {!Rgleak_num.Guard.Error}
     ([Invalid_input]) otherwise. *)
 
-val family_spec : Rgleak_process.Corr_model.wid_family -> string
-(** The CLI-style spec string, e.g. ["spherical:120"]. *)
-
 (** {2 Reports} *)
 
 type tier_report = {

@@ -390,6 +390,82 @@ let test_batch_run_and_report () =
          {|"status": "error"|})
   | _ -> Alcotest.fail "expected one outcome"
 
+(* One manifest line per correlation family: the canonical key parts
+   and the derived ids are pinned literals, so a change to the spec
+   printer (which would orphan every cache entry) fails here. *)
+let test_scenario_keys_pinned () =
+  List.iter
+    (fun (corr, corr_part, id) ->
+      let line =
+        Printf.sprintf
+          {|{"n": 300, "mix": "INV_X1:3,NAND2_X1:2", "corr": "%s", "tier": "linear", "seed": 7}|}
+          corr
+      in
+      let s = List.hd (Batch.parse_manifest line) in
+      let parts = Batch.scenario_key_parts s in
+      Alcotest.(check bool)
+        (corr ^ ": mix part") true
+        (List.mem "mix=INV_X1:0x1.8p+1,NAND2_X1:0x1p+1" parts);
+      Alcotest.(check bool)
+        (corr ^ ": corr part " ^ corr_part)
+        true (List.mem corr_part parts);
+      Alcotest.(check string) (corr ^ ": derived id") id s.Batch.s_id)
+    [
+      ("linear:120", "corr=linear:0x1.ep+6", "3ff8dac67c66");
+      ("spherical:120", "corr=spherical:0x1.ep+6", "7a1dedc78dc0");
+      ("exp:60", "corr=exp:0x1.ep+5", "bca085284041");
+      ("gauss:80.5", "corr=gauss:0x1.42p+6", "d54e99c2d8bd");
+      ("texp:60:120", "corr=texp:0x1.ep+5:0x1.ep+6", "6558a654de5e");
+    ]
+
+(* The CLI's library path (Estimate.context + Estimate.run) and the
+   batch engine give bit-identical moments for one scenario with an
+   explicit die. *)
+let test_cli_batch_equivalence () =
+  let mix = "INV_X1:3,NAND2_X1:2,DFF_X1:1" and corr = "spherical:120" in
+  let histogram = Histogram.(of_weights (parse_mix mix)) in
+  let ctx =
+    Rgleak_core.Estimate.context
+      ~chars:(Characterize.default_library ())
+      ~corr:
+        (Corr_model.create (Corr_model.of_spec corr)
+           Process_param.default_channel_length)
+      ~histogram ()
+  in
+  let spec =
+    { Rgleak_core.Estimate.histogram; n = 400; width = 300.0; height = 240.0 }
+  in
+  let engine = Batch.engine () in
+  List.iter
+    (fun (tier, method_) ->
+      let r = Rgleak_core.Estimate.run ~method_ ctx spec in
+      let line =
+        Printf.sprintf
+          {|{"n": 400, "mix": "%s", "corr": "%s", "tier": "%s", "width": 300, "height": 240}|}
+          mix corr tier
+      in
+      let o = Batch.run_one engine (List.hd (Batch.parse_manifest line)) in
+      let field k =
+        match o.Batch.o_json with
+        | Rgleak_valid.Vjson.Obj kvs -> (
+          match List.assoc_opt k kvs with
+          | Some (Rgleak_valid.Vjson.Num x) -> x
+          | _ -> Alcotest.failf "%s: record has no %s" tier k)
+        | _ -> Alcotest.failf "%s: record is not an object" tier
+      in
+      let bits name a b =
+        Alcotest.(check int64)
+          (tier ^ " " ^ name ^ " bit-identical")
+          (Int64.bits_of_float a) (Int64.bits_of_float b)
+      in
+      bits "mean" r.Rgleak_core.Estimate.mean (field "mean");
+      bits "std" r.Rgleak_core.Estimate.std (field "std"))
+    [
+      ("linear", Rgleak_core.Estimate.Linear);
+      ("int2d", Rgleak_core.Estimate.Integral_2d);
+      ("polar", Rgleak_core.Estimate.Integral_polar);
+    ]
+
 (* --- LRU eviction --------------------------------------------------- *)
 
 (* One entry's on-disk footprint, measured rather than assumed, so the
@@ -513,4 +589,8 @@ let suite =
         `Quick test_lru_keep_exempt_and_complete_reads;
       Alcotest.test_case "LRU index survives reopen" `Quick
         test_lru_index_survives_reopen;
+      Alcotest.test_case "scenario keys and ids are pinned" `Quick
+        test_scenario_keys_pinned;
+      Alcotest.test_case "CLI library path and batch agree bit for bit"
+        `Quick test_cli_batch_equivalence;
     ] )

@@ -319,6 +319,30 @@ let test_placement_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* The mix grammar checks each entry (known cell, finite non-negative
+   weight); an all-zero mix parses and fails in of_weights. *)
+let test_parse_mix () =
+  Alcotest.(check (list (pair string (float 0.0))))
+    "entries in order, names trimmed"
+    [ ("INV_X1", 3.0); ("NAND2_X1", 2.5); ("INV_X1", 0.0) ]
+    (Histogram.parse_mix " INV_X1:3, NAND2_X1 :2.5,INV_X1:0");
+  let invalid name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Guard.Error Invalid_input" name
+    | exception Guard.Error (Guard.Invalid_input _) -> ()
+  in
+  List.iter
+    (fun spec -> invalid spec (fun () -> Histogram.parse_mix spec))
+    [
+      "FOO_X1:1"; "INV_X1:nan"; "INV_X1:inf"; "INV_X1:-1"; "INV_X1:x";
+      "INV_X1"; "INV_X1:1:2"; "INV_X1:1,"; ""; "  ";
+    ];
+  invalid "unknown cell in of_weights" (fun () ->
+      Histogram.of_weights [ ("FOO_X1", 1.0) ]);
+  Alcotest.check_raises "all-zero mix"
+    (Invalid_argument "Histogram: total weight must be positive") (fun () ->
+      ignore (Histogram.of_weights (Histogram.parse_mix "INV_X1:0")))
+
 let suite =
   ( "circuit",
     [
@@ -351,4 +375,5 @@ let suite =
       case "placement roundtrip" test_placement_roundtrip;
       case "placement snapping" test_placement_snapping;
       case "placement errors" test_placement_errors;
+      case "mix spec parsing" test_parse_mix;
     ] )

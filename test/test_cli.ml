@@ -6,11 +6,11 @@
 
 let rgleak = "../bin/rgleak.exe"
 
-let run ?(out = "/dev/null") args =
+let run ?(out = "/dev/null") ?(err = "/dev/null") args =
   let cmd =
-    Printf.sprintf "%s > %s 2>/dev/null"
+    Printf.sprintf "%s > %s 2> %s"
       (Filename.quote_command rgleak args)
-      (Filename.quote out)
+      (Filename.quote out) (Filename.quote err)
   in
   match Unix.system cmd with
   | Unix.WEXITED code -> code
@@ -41,6 +41,53 @@ let test_invalid_input () =
   check_exit "conflicting signoff sources" 2
     [ "signoff"; "--benchmark"; "c432"; "--bench-file"; "x.bench" ];
   check_exit "unknown cell" 2 [ "characterize"; "--cell"; "NOPE" ]
+
+(* Runs [args] expecting exit 2 and returns its stderr. *)
+let stderr_of_invalid name args =
+  let err = Filename.temp_file "rgleak_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      Alcotest.(check int) (name ^ " exits 2") 2 (run ~err args);
+      read_file err)
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* an unknown cell in --mix is invalid input naming the cell, on every
+   subcommand that takes a mix *)
+let test_unknown_mix_cell () =
+  List.iter
+    (fun args ->
+      let err = stderr_of_invalid (List.hd args) (args @ [ "--mix"; "FOO:1" ]) in
+      if not (contains err {|unknown cell "FOO"|}) then
+        Alcotest.failf "%s: stderr does not name the cell:\n%s" (List.hd args)
+          err)
+    [
+      [ "estimate"; "-n"; "500" ];
+      [ "tail"; "-n"; "120"; "--budget"; "0.5"; "--replicas"; "200" ];
+      [ "optimize"; "-n"; "120"; "--budget"; "2" ];
+    ]
+
+(* non-finite spec numbers and bad die dimensions are rejected before
+   characterization: exit 2 with no tier-degradation chatter *)
+let test_spec_numbers_and_die () =
+  List.iter
+    (fun (name, args) ->
+      let err = stderr_of_invalid name args in
+      if contains err "degrading" then
+        Alcotest.failf "%s: degraded instead of rejecting:\n%s" name err)
+    [
+      ("nan mix weight", [ "estimate"; "-n"; "500"; "--mix"; "INV_X1:nan" ]);
+      ("nan mix weight in map", [ "map"; "-n"; "100"; "--mix"; "INV_X1:nan" ]);
+      ("infinite range", [ "estimate"; "-n"; "500"; "--corr"; "exp:inf" ]);
+      ("nan distance", [ "estimate"; "-n"; "500"; "--corr"; "linear:nan" ]);
+      ("zero width", [ "estimate"; "-n"; "500"; "--width"; "0"; "--height"; "10" ]);
+      ("negative width", [ "estimate"; "-n"; "500"; "--width=-5" ]);
+      ("infinite height", [ "estimate"; "-n"; "500"; "--height"; "inf" ]);
+    ]
 
 (* fault-spec edge cases: every malformed shape must exit 2 before any
    estimation work, including duplicates that List.assoc would silently
@@ -196,11 +243,6 @@ let test_batch_manifest_errors () =
     (run [ "batch"; Filename.concat dir "nosuch.jsonl"; "--no-cache" ])
 
 (* ---------- run ledger and fleet report ---------- *)
-
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
 
 let check_contains name hay needle =
   if not (contains hay needle) then
@@ -587,6 +629,9 @@ let () =
           case "numeric breakdown exits 3 under --strict" test_numeric_strict;
           case "best-effort degradation exits 0" test_best_effort_degradation;
           case "fault runs are deterministic" test_fault_determinism;
+          case "unknown mix cell exits 2 naming it" test_unknown_mix_cell;
+          case "non-finite specs and bad dies exit 2 without degrading"
+            test_spec_numbers_and_die;
         ] );
       ( "batch",
         [

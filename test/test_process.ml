@@ -92,6 +92,38 @@ let test_invalid_family () =
     (Invalid_argument "Corr_model: range must be positive") (fun () ->
       ignore (Corr_model.create (Corr_model.Exponential { range = 0.0 }) param))
 
+(* The spec grammar: every family round-trips through its exact (%h)
+   spelling, reports keep the short %g one, and a zero, negative or
+   non-finite number or a missing or extra field is invalid input. *)
+let test_spec_round_trip () =
+  List.iter
+    (fun f ->
+      let spec = Corr_model.to_spec ~num:(Printf.sprintf "%h") f in
+      check_true ("round trip " ^ spec) (Corr_model.of_spec spec = f))
+    [
+      Corr_model.Linear { dmax = 120.0 };
+      Corr_model.Spherical { dmax = 0.1 };
+      Corr_model.Exponential { range = 60.5 };
+      Corr_model.Gaussian { range = 1e-3 };
+      Corr_model.Truncated_exponential { range = 60.0; dmax = 1.0 /. 3.0 };
+    ];
+  Alcotest.(check string)
+    "%g spelling" "texp:60:120"
+    (Corr_model.to_spec ~num:(Printf.sprintf "%g")
+       (Corr_model.of_spec "texp:60.0:1.2e2"))
+
+let test_spec_rejects () =
+  List.iter
+    (fun spec ->
+      match Corr_model.of_spec spec with
+      | _ -> Alcotest.failf "correlation spec %S accepted" spec
+      | exception Guard.Error (Guard.Invalid_input _) -> ())
+    [
+      "linear:0"; "spherical:-5"; "exp:-0"; "gauss:nan"; "exp:inf";
+      "texp:60:-inf"; "texp:nan:120"; "linear:abc"; "linear"; "linear:";
+      "spherical:120:5"; "texp:60"; "texp:60:120:1"; "cubic:10"; "";
+    ]
+
 let test_sampler_marginals () =
   let m = Corr_model.create (Corr_model.Linear { dmax = 100.0 }) param in
   let locs =
@@ -157,4 +189,6 @@ let suite =
       slow_case "sampler marginals and correlation" test_sampler_marginals;
       case "sample_pair correlation" test_sample_pair_correlation;
       case "distance" test_distance;
+      case "spec round trip" test_spec_round_trip;
+      case "malformed specs rejected" test_spec_rejects;
     ] )
