@@ -193,7 +193,7 @@ serve-smoke: build
 	  || { echo "FAIL: SIGTERM drain exited nonzero"; exit 1; }; \
 	test ! -e $$D/serve.sock \
 	  || { echo "FAIL: socket not unlinked after drain"; exit 1; }; \
-	grep -q '"subcommand":"serve"' $$D/ledger.jsonl \
+	grep -q '"subcommand": "serve"' $$D/ledger.jsonl \
 	  || { echo "FAIL: no final ledger line after drain"; exit 1; }; \
 	printf '%s\n' '{"id": "ex", "n": 200, "mix": "INV_X1:1", "corr": "spherical:100", "tier": "exact"}' \
 	  > $$D/exact.jsonl; \

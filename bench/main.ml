@@ -19,7 +19,8 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 module Obs = Rgleak_obs.Obs
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
+module Bench_gate = Rgleak_valid.Bench_gate
 
 let fast = ref false
 let jobs_override = ref None
@@ -440,38 +441,41 @@ let speedup_meaningful e = e.cpus > 1 && e.jobs_used > 1
 
 let nproc () = Domain.recommended_domain_count ()
 
-let write_bench_json ~path ~jobs entries =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"rgleak-bench-estimators/4\",\n";
-  Printf.fprintf oc "  \"jobs\": %d,\n" jobs;
-  Printf.fprintf oc "  \"nproc\": %d,\n" (nproc ());
-  Printf.fprintf oc "  \"kernel_isa\": %S,\n" (Pair_kernel.selected_isa ());
-  Printf.fprintf oc "  \"fast\": %b,\n" !fast;
-  Printf.fprintf oc "  \"entries\": [\n";
-  let last = List.length entries - 1 in
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "    { \"estimator\": %S, \"n\": %d, \"jobs\": %d, \"cpus\": %d, \
-         \"seconds\": %.6f, \"seconds_1job\": %.6f,%s\n"
-        e.estimator e.n e.jobs_used e.cpus e.seconds e.seconds_1job
-        (if speedup_meaningful e then
-           Printf.sprintf " \"speedup\": %.3f," (speedup e)
-         else "");
-      Printf.fprintf oc "      \"counters\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %d" k v) e.counters));
-      Printf.fprintf oc "      \"gauges\": {%s},\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) e.gauges));
-      Printf.fprintf oc "      \"alloc\": {%s} }%s\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "%S: %.6g" k v) e.alloc))
-        (if i = last then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+(* The header of a rgleak-bench-estimators document, shared by the
+   timing writer and the ext-delta merge. *)
+let bench_header ~jobs =
+  [
+    ("schema", Vjson.Str Bench_gate.expected_schema);
+    ("jobs", Vjson.Num (float_of_int jobs));
+    ("nproc", Vjson.Num (float_of_int (nproc ())));
+    ("kernel_isa", Vjson.Str (Pair_kernel.selected_isa ()));
+    ("fast", Vjson.Bool !fast);
+  ]
+
+let write_json ~path doc =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Vjson.to_string ~indent:2 doc))
+
+let write_bench_doc ~path header entries =
+  write_json ~path (Vjson.Obj (header @ [ ("entries", Vjson.Arr entries) ]))
+
+let entry_json e =
+  let int i = Vjson.Num (float_of_int i) in
+  let floats kvs = Vjson.Obj (List.map (fun (k, v) -> (k, Vjson.Num v)) kvs) in
+  Vjson.Obj
+    ([
+       ("estimator", Vjson.Str e.estimator); ("n", int e.n);
+       ("jobs", int e.jobs_used); ("cpus", int e.cpus);
+       ("seconds", Vjson.Num e.seconds);
+       ("seconds_1job", Vjson.Num e.seconds_1job);
+     ]
+    @ (if speedup_meaningful e then [ ("speedup", Vjson.Num (speedup e)) ]
+       else [])
+    @ [
+        ("counters", Vjson.Obj (List.map (fun (k, v) -> (k, int v)) e.counters));
+        ("gauges", floats e.gauges);
+        ("alloc", floats e.alloc);
+      ])
 
 let run_timing () =
   let jobs =
@@ -605,7 +609,8 @@ let run_timing () =
           ~height:h ());
   Parallel.set_default_jobs jobs;
   let path = "BENCH_estimators.json" in
-  write_bench_json ~path ~jobs (List.rev !entries);
+  write_bench_doc ~path (bench_header ~jobs)
+    (List.rev_map entry_json !entries);
   Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
@@ -699,29 +704,28 @@ let run_overhead () =
   Printf.printf "overhead              : %.5f%% of runtime (budget %.1f%%)\n"
     (100.0 *. overhead) (100.0 *. budget);
   let path = "BENCH_overhead.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"rgleak-overhead/3\",\n\
-    \  \"site_ns\": %.4f,\n\
-    \  \"hist_site_ns\": %.4f,\n\
-    \  \"fault_probe_ns\": %.4f,\n\
-    \  \"sites_per_run\": %.0f,\n\
-    \  \"hist_sites_per_run\": %.0f,\n\
-    \  \"fault_sites_per_run\": %.0f,\n\
-    \  \"exact_n\": %d,\n\
-    \  \"exact_seconds\": %.6f,\n\
-    \  \"telemetry_overhead_fraction\": %.8f,\n\
-    \  \"hist_overhead_fraction\": %.8f,\n\
-    \  \"fault_overhead_fraction\": %.8f,\n\
-    \  \"overhead_fraction\": %.8f,\n\
-    \  \"budget_fraction\": %.3f,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    site_ns hist_site_ns fault_ns sites hist_sites fault_sites n seconds
-    telemetry_overhead hist_overhead fault_overhead overhead budget
-    (overhead < budget);
-  close_out oc;
+  let num f = Vjson.Num f in
+  let doc =
+    Vjson.Obj
+      [
+        ("schema", Vjson.Str Bench_gate.overhead_schema);
+        ("site_ns", num site_ns);
+        ("hist_site_ns", num hist_site_ns);
+        ("fault_probe_ns", num fault_ns);
+        ("sites_per_run", num sites);
+        ("hist_sites_per_run", num hist_sites);
+        ("fault_sites_per_run", num fault_sites);
+        ("exact_n", num (float_of_int n));
+        ("exact_seconds", num seconds);
+        ("telemetry_overhead_fraction", num telemetry_overhead);
+        ("hist_overhead_fraction", num hist_overhead);
+        ("fault_overhead_fraction", num fault_overhead);
+        ("overhead_fraction", num overhead);
+        ("budget_fraction", num budget);
+        ("pass", Vjson.Bool (overhead < budget));
+      ]
+  in
+  write_json ~path doc;
   Printf.printf "wrote %s\n" path;
   if overhead >= budget then
     failwith
@@ -1187,23 +1191,17 @@ let run_ext_tail () =
    clobber what `--run timing` wrote — it only replaces rows whose
    estimator name it owns.  When the file is absent or unreadable a
    fresh document is started instead. *)
-let bench_schema = "rgleak-bench-estimators/4"
-
 let merge_bench_entries ~path entries =
-  let names =
-    List.filter_map
-      (fun e ->
-        match Vjson.mem "estimator" e with
-        | Some (Vjson.Str s) -> Some s
-        | _ -> None)
-      entries
+  let estimator e =
+    match Vjson.mem "estimator" e with Some (Vjson.Str s) -> Some s | _ -> None
   in
+  let names = List.filter_map estimator entries in
   let existing =
     match Vjson.parse_file path with
     | doc -> (
       match (doc, Vjson.mem "schema" doc, Vjson.mem "entries" doc) with
       | Vjson.Obj kvs, Some (Vjson.Str s), Some (Vjson.Arr es)
-        when s = bench_schema ->
+        when s = Bench_gate.expected_schema ->
         Some (kvs, es)
       | _ -> None)
     | exception (Sys_error _ | Vjson.Parse_error _) -> None
@@ -1214,24 +1212,13 @@ let merge_bench_entries ~path entries =
       ( List.filter (fun (k, _) -> k <> "entries") kvs,
         List.filter
           (fun e ->
-            match Vjson.mem "estimator" e with
-            | Some (Vjson.Str name) -> not (List.mem name names)
-            | _ -> true)
+            match estimator e with
+            | Some name -> not (List.mem name names)
+            | None -> true)
           es )
-    | None ->
-      ( [
-          ("schema", Vjson.Str bench_schema);
-          ("jobs", Vjson.Num (float_of_int (Parallel.default_jobs ())));
-          ("nproc", Vjson.Num (float_of_int (nproc ())));
-          ("kernel_isa", Vjson.Str (Pair_kernel.selected_isa ()));
-          ("fast", Vjson.Bool !fast);
-        ],
-        [] )
+    | None -> (bench_header ~jobs:(Parallel.default_jobs ()), [])
   in
-  let doc = Vjson.Obj (header @ [ ("entries", Vjson.Arr (kept @ entries)) ]) in
-  let oc = open_out path in
-  output_string oc (Vjson.to_string ~indent:2 doc);
-  close_out oc
+  write_bench_doc ~path header (kept @ entries)
 
 let run_ext_delta () =
   let jobs =

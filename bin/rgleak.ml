@@ -182,11 +182,11 @@ let trace_term =
       & info [ "ledger" ] ~docv:"FILE"
           ~doc:
             (Printf.sprintf
-               "Enable telemetry and append one compact rgleak-run/1 record \
+               "Enable telemetry and append one compact %s record \
                 (counters, histogram summaries, exit class) to $(docv) \
                 (default %s) when the run finishes.  Aggregate with $(b,rgleak \
                 report)."
-               Ledger.default_path))
+               Ledger.schema Ledger.default_path))
   in
   Term.(
     const (fun trace trace_json trace_folded metrics_json ledger ->
@@ -343,7 +343,7 @@ let print_result label (r : Estimate.result) =
 
 (* ---------- report files, golden baselines, the result cache ---------- *)
 
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 module Golden_diff = Rgleak_valid.Golden_diff
 module Cache = Rgleak_cache.Cache
 
@@ -1483,7 +1483,7 @@ let report_cmd =
       value & pos_all string []
       & info [] ~docv:"LEDGER"
           ~doc:
-            "rgleak-run/1 JSONL ledger files (written by the --ledger flag of \
+            "rgleak-run/1 or /2 JSONL ledger files (written by the --ledger flag of \
              any subcommand).  All records from all files are pooled into one \
              window.")
   in
@@ -1492,7 +1492,7 @@ let report_cmd =
       value & opt_all string []
       & info [ "metrics" ] ~docv:"FILE"
           ~doc:
-            "Also fold a --metrics-json document (rgleak-metrics/1 or /2) \
+            "Also fold a --metrics-json document (rgleak-metrics/1 to /3) \
              into the window.  Repeatable.")
   in
   let json_arg =

@@ -15,7 +15,7 @@ module Estimator_exact = Rgleak_core.Estimator_exact
 module Mc_reference = Rgleak_core.Mc_reference
 module Tail = Rgleak_core.Tail
 module Vt_correction = Rgleak_core.Vt_correction
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 module Obs = Rgleak_obs.Obs
 
 type tier = Auto | Linear | Integral_2d | Integral_polar | Exact | Mc | Tail

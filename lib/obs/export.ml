@@ -4,24 +4,6 @@
 let ns_to_s ns = Int64.to_float ns /. 1e9
 let ns_to_us ns = Int64.to_float ns /. 1e3
 
-(* Span paths and metric names are code-controlled, but escape anyway
-   so the emitted JSON is valid for any input. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let last_segment path =
   match String.rindex_opt path '/' with
   | None -> path
@@ -138,59 +120,60 @@ let report oc (s : Obs.snapshot) =
 
 (* ---------- Chrome trace events ---------- *)
 
+let num f = Vjson.Num f
+let int i = Vjson.Num (float_of_int i)
+
 let chrome_trace (s : Obs.snapshot) =
-  let b = Buffer.create 4096 in
-  let sep = ref "" in
-  let event fmt =
-    Buffer.add_string b !sep;
-    sep := ",\n";
-    Printf.ksprintf (Buffer.add_string b) fmt
+  let event ?(tid = 0) ?(extra = []) ~ph name args =
+    Vjson.Obj
+      ([ ("name", Vjson.Str name); ("ph", Vjson.Str ph); ("pid", int 0);
+         ("tid", int tid) ]
+      @ extra
+      @ [ ("args", Vjson.Obj args) ])
   in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  event
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"rgleak\"}}";
+  let meta name ~tid label =
+    event ~tid ~ph:"M" name [ ("name", Vjson.Str label) ]
+  in
+  let counter name ~ts value =
+    event ~extra:[ ("ts", num ts) ] ~ph:"C" name [ ("value", value) ]
+  in
   let domains =
     List.sort_uniq compare
       (List.map (fun (e : Obs.span_event) -> e.Obs.domain) s.Obs.spans)
   in
-  List.iter
-    (fun d ->
-      event
-        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-        d d)
-    domains;
-  List.iter
-    (fun (e : Obs.span_event) ->
-      event
-        "{\"name\":\"%s\",\"cat\":\"rgleak\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"path\":\"%s\",\"minor_words\":%.9g}}"
-        (json_escape (last_segment e.Obs.path))
-        e.Obs.domain (ns_to_us e.Obs.start_ns) (ns_to_us e.Obs.dur_ns)
-        (json_escape e.Obs.path) e.Obs.minor_words)
-    s.Obs.spans;
+  let span (e : Obs.span_event) =
+    event ~tid:e.Obs.domain ~ph:"X" (last_segment e.Obs.path)
+      ~extra:
+        [
+          ("cat", Vjson.Str "rgleak"); ("ts", num (ns_to_us e.Obs.start_ns));
+          ("dur", num (ns_to_us e.Obs.dur_ns));
+        ]
+      [ ("path", Vjson.Str e.Obs.path); ("minor_words", num e.Obs.minor_words) ]
+  in
   (* Time-stamped counter tracks (cache hits/misses, queue depth...):
      one "C" event per recorded sample so they render as timelines. *)
-  List.iter
-    (fun (t : Obs.track_event) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.9g}}"
-        (json_escape t.Obs.t_name) (ns_to_us t.Obs.t_ns) t.Obs.t_value)
-    s.Obs.tracks;
+  let track (t : Obs.track_event) =
+    counter t.Obs.t_name ~ts:(ns_to_us t.Obs.t_ns) (num t.Obs.t_value)
+  in
   (* Pool utilization and work counters as final-total counter events. *)
-  let ts_end = ns_to_us s.Obs.elapsed_ns in
-  List.iter
-    (fun (name, v) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%.9g}}"
-        (json_escape name) ts_end v)
-    s.Obs.gauges;
-  List.iter
-    (fun (name, v) ->
-      event
-        "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":0,\"tid\":0,\"ts\":%.3f,\"args\":{\"value\":%d}}"
-        (json_escape name) ts_end v)
-    s.Obs.counters;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+  let ts = ns_to_us s.Obs.elapsed_ns in
+  let events =
+    List.concat
+      [
+        [ meta "process_name" ~tid:0 "rgleak" ];
+        List.map
+          (fun d -> meta "thread_name" ~tid:d (Printf.sprintf "domain-%d" d))
+          domains;
+        List.map span s.Obs.spans;
+        List.map track s.Obs.tracks;
+        List.map (fun (name, v) -> counter name ~ts (num v)) s.Obs.gauges;
+        List.map (fun (name, v) -> counter name ~ts (int v)) s.Obs.counters;
+      ]
+  in
+  Vjson.to_string
+    (Vjson.Obj
+       [ ("traceEvents", Vjson.Arr events); ("displayTimeUnit", Vjson.Str "ms") ])
+  ^ "\n"
 
 (* ---------- collapsed stacks (flamegraph.pl / speedscope) ---------- *)
 
@@ -218,65 +201,59 @@ let folded (s : Obs.snapshot) =
 
 (* ---------- flat metrics ---------- *)
 
-(* Schema history: rgleak-metrics/1 (PR 2) had elapsed_s /
-   dropped_spans / counters / gauges / spans.  Version 2 keeps every
-   v1 field with the same shape (v1 consumers that tolerate unknown
-   keys keep working) and adds "hists", "gc", "dropped_tracks", and a
-   "self_s" field on span aggregates. *)
-let metrics_json (s : Obs.snapshot) =
-  let b = Buffer.create 2048 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "{\n";
-  p "  \"schema\": \"rgleak-metrics/2\",\n";
-  p "  \"elapsed_s\": %.9f,\n" (ns_to_s s.Obs.elapsed_ns);
-  p "  \"dropped_spans\": %d,\n" s.Obs.dropped_spans;
-  p "  \"dropped_tracks\": %d,\n" s.Obs.dropped_tracks;
-  let obj last items print_one =
-    List.iteri
-      (fun i item ->
-        print_one item;
-        p "%s\n" (if i = List.length items - 1 then "" else ","))
-      items;
-    ignore last
+(* Schema history: rgleak-metrics/1 had elapsed_s / dropped_spans /
+   counters / gauges / spans.  Version 2 kept every v1 field with the
+   same shape and added "hists", "gc", "dropped_tracks", and a "self_s"
+   field on span aggregates.  Version 3 has the v2 structure, printed
+   through Vjson: every number is %.17g and parses back bit-exactly
+   (v2 printed %.9g), and non-finite numbers are null. *)
+let metrics_schema = "rgleak-metrics/3"
+
+let metric_fields (s : Obs.snapshot) =
+  let hist (name, h) =
+    let n, p50, p90, p99, mx = hist_summary h in
+    ( name,
+      Vjson.Obj
+        [
+          ("count", int n); ("sum", num h.Obs.h_sum); ("min", num h.Obs.h_min);
+          ("p50", num p50); ("p90", num p90); ("p99", num p99); ("max", num mx);
+          ( "buckets",
+            Vjson.Obj
+              (List.map (fun (i, c) -> (string_of_int i, int c)) h.Obs.h_buckets)
+          );
+        ] )
   in
-  p "  \"counters\": {\n";
-  obj () s.Obs.counters (fun (name, v) ->
-      p "    \"%s\": %d" (json_escape name) v);
-  p "  },\n";
-  p "  \"gauges\": {\n";
-  obj () s.Obs.gauges (fun (name, v) ->
-      p "    \"%s\": %.9g" (json_escape name) v);
-  p "  },\n";
-  p "  \"hists\": {\n";
-  obj () s.Obs.hists (fun (name, h) ->
-      let n, p50, p90, p99, mx = hist_summary h in
-      p "    \"%s\": { \"count\": %d, \"sum\": %.9g, \"min\": %.9g,\n"
-        (json_escape name) n h.Obs.h_sum h.Obs.h_min;
-      p "      \"p50\": %.9g, \"p90\": %.9g, \"p99\": %.9g, \"max\": %.9g,\n"
-        p50 p90 p99 mx;
-      p "      \"buckets\": { %s } }"
-        (String.concat ", "
-           (List.map
-              (fun (i, c) -> Printf.sprintf "\"%d\": %d" i c)
-              h.Obs.h_buckets)));
-  p "  },\n";
-  p "  \"gc\": { \"minor_words\": %.9g, \"major_words\": %.9g },\n"
-    s.Obs.gc_minor_words s.Obs.gc_major_words;
-  p "  \"spans\": [\n";
-  obj () (self_times s) (fun (path, n, total, self, mw) ->
-      p
-        "    { \"path\": \"%s\", \"count\": %d, \"total_s\": %.9f, \
-         \"self_s\": %.9f, \"minor_words\": %.9g }"
-        (json_escape path) n (ns_to_s total) (ns_to_s self) mw);
-  p "  ]\n";
-  p "}\n";
-  Buffer.contents b
+  [
+    ("elapsed_s", num (ns_to_s s.Obs.elapsed_ns));
+    ("dropped_spans", int s.Obs.dropped_spans);
+    ("dropped_tracks", int s.Obs.dropped_tracks);
+    ("counters", Vjson.Obj (List.map (fun (k, v) -> (k, int v)) s.Obs.counters));
+    ("gauges", Vjson.Obj (List.map (fun (k, v) -> (k, num v)) s.Obs.gauges));
+    ("hists", Vjson.Obj (List.map hist s.Obs.hists));
+    ( "gc",
+      Vjson.Obj
+        [
+          ("minor_words", num s.Obs.gc_minor_words);
+          ("major_words", num s.Obs.gc_major_words);
+        ] );
+  ]
+
+let metrics_json (s : Obs.snapshot) =
+  let span (path, n, total, self, mw) =
+    Vjson.Obj
+      [
+        ("path", Vjson.Str path); ("count", int n);
+        ("total_s", num (ns_to_s total)); ("self_s", num (ns_to_s self));
+        ("minor_words", num mw);
+      ]
+  in
+  Vjson.to_string ~indent:2
+    (Vjson.Obj
+       ((("schema", Vjson.Str metrics_schema) :: metric_fields s)
+       @ [ ("spans", Vjson.Arr (List.map span (self_times s))) ]))
 
 let write_file ~path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 let write_chrome_trace ~path s = write_file ~path (chrome_trace s)
 let write_metrics_json ~path s = write_file ~path (metrics_json s)

@@ -3,9 +3,6 @@
     [chrome://tracing] or {:https://ui.perfetto.dev}), a collapsed-stack
     file for flamegraph.pl / speedscope, and a flat metrics JSON. *)
 
-val json_escape : string -> string
-(** JSON string escaping shared by every textual exporter. *)
-
 val self_times : Obs.snapshot -> (string * int * int64 * int64 * float) list
 (** Per-path span aggregates
     [(path, count, total_ns, self_ns, minor_words)], sorted by path.
@@ -37,13 +34,21 @@ val folded : Obs.snapshot -> string
 
 val write_folded : path:string -> Obs.snapshot -> unit
 
+val metrics_schema : string
+(** ["rgleak-metrics/3"]. *)
+
+val metric_fields : Obs.snapshot -> (string * Vjson.t) list
+(** The members the metrics document and the run ledger line share:
+    ["elapsed_s"], ["dropped_spans"], ["dropped_tracks"], ["counters"],
+    ["gauges"], ["hists"] and ["gc"]. *)
+
 val metrics_json : Obs.snapshot -> string
-(** Flat metrics document, schema ["rgleak-metrics/2"]: elapsed time,
+(** Flat metrics document, schema {!metrics_schema}: elapsed time,
     merged counters and gauges, histogram summaries
     (count/sum/min/max, p50/p90/p99, sparse buckets), GC minor/major
     totals, and per-path span aggregates (count/total/self seconds,
     minor words).  Every ["rgleak-metrics/1"] field is retained with
     its v1 shape, so v1 consumers that ignore unknown keys keep
-    working. *)
+    working; numbers parse back bit-exactly. *)
 
 val write_metrics_json : path:string -> Obs.snapshot -> unit

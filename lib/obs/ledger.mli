@@ -1,4 +1,4 @@
-(** Persistent run ledger: appends one compact ["rgleak-run/1"] JSON
+(** Persistent run ledger: appends one compact ["rgleak-run/2"] JSON
     line per CLI run to a shared JSONL file (default
     [.rgleak/ledger.jsonl]).
 
@@ -15,7 +15,7 @@
     records from concurrent processes never interleave. *)
 
 val schema : string
-(** ["rgleak-run/1"]. *)
+(** ["rgleak-run/2"]. *)
 
 val default_path : string
 (** [".rgleak/ledger.jsonl"]. *)

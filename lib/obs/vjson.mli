@@ -1,11 +1,13 @@
-(** Minimal JSON values for the validation reports and their committed
-    golden baselines.
+(** Minimal JSON values: the one type every JSON document of the
+    program is built as — validation, tail and optimize reports, batch
+    and serve records, protocol frames, telemetry metrics, the run
+    ledger, Chrome traces and the bench files.
 
     The printer emits numbers with enough precision ([%.17g]) that
     parsing its output reproduces the same floats, so a report written,
     committed, and re-parsed compares bit-for-bit against a fresh run —
     the golden-diff engine's notion of "identical" rests on this
-    round-trip. *)
+    round-trip.  Every output of {!to_string} is accepted by {!parse}. *)
 
 type t =
   | Null
@@ -19,10 +21,14 @@ exception Parse_error of string
 
 val to_string : ?indent:int -> t -> string
 (** Serialize; [indent > 0] pretty-prints with that many spaces per
-    level (and a trailing newline), [indent = 0] (default) is compact. *)
+    level (and a trailing newline), [indent = 0] (default) is compact.
+    Finite numbers round-trip bit-exactly through {!parse}; NaN and the
+    infinities have no JSON spelling and print as [null]. *)
 
 val parse : string -> t
-(** Raises {!Parse_error} on malformed input. *)
+(** Raises {!Parse_error} on malformed input.  [\uXXXX] escapes are
+    decoded to UTF-8, surrogate pairs combined; a lone surrogate is a
+    {!Parse_error}. *)
 
 val parse_file : string -> t
 

@@ -1,6 +1,6 @@
 module Guard = Rgleak_num.Guard
 module Obs = Rgleak_obs.Obs
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 module Cache = Rgleak_cache.Cache
 module Batch = Rgleak_cache.Batch
 

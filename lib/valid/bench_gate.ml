@@ -1,3 +1,5 @@
+module Vjson = Rgleak_obs.Vjson
+
 let expected_schema = "rgleak-bench-estimators/4"
 
 type finding = {

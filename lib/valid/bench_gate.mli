@@ -28,6 +28,10 @@
     counters are not compared — they are covered by the golden and
     unit gates. *)
 
+val expected_schema : string
+(** ["rgleak-bench-estimators/4"], the schema of the timing documents
+    [bench --run timing] writes and this gate reads. *)
+
 type finding = {
   estimator : string;
   n : int;
@@ -61,11 +65,11 @@ type verdict = {
 val compare :
   ?warn_ratio:float ->
   ?fail_ratio:float ->
-  baseline:Vjson.t ->
-  current:Vjson.t ->
+  baseline:Rgleak_obs.Vjson.t ->
+  current:Rgleak_obs.Vjson.t ->
   unit ->
   verdict
-(** Raises {!Vjson.Parse_error} when either document is not a bench
+(** Raises {!Rgleak_obs.Vjson.Parse_error} when either document is not a bench
     timing document (missing schema/entries or malformed entries). *)
 
 val should_adopt : verdict -> bool
@@ -81,9 +85,9 @@ val pp : Format.formatter -> verdict -> unit
 val overhead_schema : string
 (** ["rgleak-overhead/3"]. *)
 
-val check_overhead : Vjson.t -> (unit, string) result
+val check_overhead : Rgleak_obs.Vjson.t -> (unit, string) result
 (** Validates a [BENCH_overhead.json] document (written by
     [bench --run overhead]): current schema, histogram-probe fields
     present, recorded pass flag true, and the total disabled-cost
-    fraction strictly under its budget.  Raises {!Vjson.Parse_error}
+    fraction strictly under its budget.  Raises {!Rgleak_obs.Vjson.Parse_error}
     on missing or mis-typed fields. *)

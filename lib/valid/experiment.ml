@@ -15,6 +15,7 @@ open Rgleak_process
 open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
+module Vjson = Rgleak_obs.Vjson
 
 type point = {
   label : string;

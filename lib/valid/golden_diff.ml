@@ -16,6 +16,8 @@
    (e.g. a quadrature or reduction change) and tells the reviewer the
    change is within noise. *)
 
+module Vjson = Rgleak_obs.Vjson
+
 type severity = Identical | Benign | Breaking
 
 type finding = {

@@ -26,32 +26,32 @@ type diff = { severity : severity; findings : finding list }
 val severity_name : severity -> string
 val worst : severity -> severity -> severity
 
-val compare : baseline:Vjson.t -> current:Vjson.t -> diff
-(** Diffs two parsed reports.  Raises {!Vjson.Parse_error} if either
+val compare : baseline:Rgleak_obs.Vjson.t -> current:Rgleak_obs.Vjson.t -> diff
+(** Diffs two parsed reports.  Raises {!Rgleak_obs.Vjson.Parse_error} if either
     document does not have the [rgleak-validate/1] shape. *)
 
 val tail_schema : string
 (** ["rgleak-tail/1"]. *)
 
-val compare_tail : baseline:Vjson.t -> current:Vjson.t -> diff
+val compare_tail : baseline:Rgleak_obs.Vjson.t -> current:Rgleak_obs.Vjson.t -> diff
 (** Diffs two [rgleak-tail/1] documents: scenario identity and counts
     are structural (Breaking), [p_exceed] drift is judged against the
     baseline's own delta-method CI (Benign within it), all other
     numerics use the bit-stability fallback.  Raises
-    {!Vjson.Parse_error} on documents without the tail shape. *)
+    {!Rgleak_obs.Vjson.Parse_error} on documents without the tail shape. *)
 
 val optimize_schema : string
 (** ["rgleak-optimize/1"]. *)
 
-val compare_optimize : baseline:Vjson.t -> current:Vjson.t -> diff
+val compare_optimize : baseline:Rgleak_obs.Vjson.t -> current:Rgleak_obs.Vjson.t -> diff
 (** Diffs two [rgleak-optimize/1] documents over the union of their
     top-level keys.  Optimizer reports are fully deterministic (no MC
     noise), so strings, booleans, and field presence are structural
     (Breaking) and every numeric field uses the bit-stability fallback
-    epsilon.  Raises {!Vjson.Parse_error} on documents without a
+    epsilon.  Raises {!Rgleak_obs.Vjson.Parse_error} on documents without a
     ["schema"] string. *)
 
-val compare_document : baseline:Vjson.t -> current:Vjson.t -> diff
+val compare_document : baseline:Rgleak_obs.Vjson.t -> current:Rgleak_obs.Vjson.t -> diff
 (** Dispatches on the baseline's ["schema"] field: [rgleak-tail/1]
     documents go to {!compare_tail}, [rgleak-optimize/1] to
     {!compare_optimize}, everything else to {!compare}. *)

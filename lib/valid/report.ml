@@ -1,5 +1,5 @@
-(* Fleet telemetry aggregation: parse rgleak-run/1 ledger lines (and
-   rgleak-metrics/1-2 files), merge them into one service-level view,
+(* Fleet telemetry aggregation: parse rgleak-run/1-2 ledger lines (and
+   rgleak-metrics/1-3 files), merge them into one service-level view,
    and render tables / JSON / a regression diff.
 
    Quantiles are recomputed from the sparse bucket counts carried in
@@ -10,6 +10,7 @@
    --metrics-json. *)
 
 module Obs = Rgleak_obs.Obs
+module Vjson = Rgleak_obs.Vjson
 
 type entry = {
   e_subcommand : string;
@@ -43,11 +44,19 @@ let hist_of_json j =
            | None -> fail "non-integer bucket index %S" k)
     |> List.sort compare
   in
+  (* Non-finite numbers are written as null.  A histogram holds at least
+     one value, so a null min can only be -inf and a null max +inf. *)
+  let bound name ~absent ~null =
+    match Vjson.mem name j with
+    | None -> absent
+    | Some Vjson.Null -> null
+    | Some v -> Vjson.num v
+  in
   {
     Obs.h_count = int_of_float (opt_num "count" ~default:0.0 j);
-    h_sum = opt_num "sum" ~default:0.0 j;
-    h_min = opt_num "min" ~default:infinity j;
-    h_max = opt_num "max" ~default:neg_infinity j;
+    h_sum = bound "sum" ~absent:0.0 ~null:nan;
+    h_min = bound "min" ~absent:infinity ~null:neg_infinity;
+    h_max = bound "max" ~absent:neg_infinity ~null:infinity;
     h_buckets = buckets;
   }
 
@@ -59,46 +68,47 @@ let counters_of_json j =
     (fun (name, v) -> (name, int_of_float (Vjson.num v)))
     (opt_obj "counters" j)
 
-let entry_of_run j =
-  (match Vjson.mem "schema" j with
-  | Some (Vjson.Str "rgleak-run/1") -> ()
-  | Some (Vjson.Str s) -> fail "unsupported ledger schema %S" s
-  | _ -> fail "ledger record has no schema tag");
-  let gc = Vjson.mem "gc" j in
+let check_schema ~what ~doc accepted j =
+  match Vjson.mem "schema" j with
+  | Some (Vjson.Str s) when List.mem s accepted -> ()
+  | Some (Vjson.Str s) -> fail "unsupported %s schema %S" what s
+  | _ -> fail "%s has no schema tag" doc
+
+(* The members a ledger line and a metrics document share (written by
+   Export.metric_fields). *)
+let entry ~subcommand ~args_digest ~exit_class j =
+  let gc name =
+    match Vjson.mem "gc" j with
+    | Some g -> opt_num name ~default:0.0 g
+    | None -> 0.0
+  in
   {
-    e_subcommand = opt_str "subcommand" ~default:"?" j;
-    e_args_digest = opt_str "args_digest" ~default:"" j;
-    e_exit_class = opt_str "exit_class" ~default:"?" j;
+    e_subcommand = subcommand;
+    e_args_digest = args_digest;
+    e_exit_class = exit_class;
     e_elapsed_s = opt_num "elapsed_s" ~default:0.0 j;
     e_counters = counters_of_json j;
     e_hists = hists_of_json j;
-    e_gc_minor =
-      (match gc with Some g -> opt_num "minor_words" ~default:0.0 g | None -> 0.0);
-    e_gc_major =
-      (match gc with Some g -> opt_num "major_words" ~default:0.0 g | None -> 0.0);
+    e_gc_minor = gc "minor_words";
+    e_gc_major = gc "major_words";
   }
+
+let entry_of_run j =
+  check_schema ~what:"ledger" ~doc:"ledger record"
+    [ "rgleak-run/1"; "rgleak-run/2" ] j;
+  entry
+    ~subcommand:(opt_str "subcommand" ~default:"?" j)
+    ~args_digest:(opt_str "args_digest" ~default:"" j)
+    ~exit_class:(opt_str "exit_class" ~default:"?" j)
+    j
 
 (* A --metrics-json document as a pseudo ledger entry.  v1 documents
    (no hists/gc) degrade to counters only — the v1 compatibility
    path. *)
 let entry_of_metrics j =
-  (match Vjson.mem "schema" j with
-  | Some (Vjson.Str ("rgleak-metrics/1" | "rgleak-metrics/2")) -> ()
-  | Some (Vjson.Str s) -> fail "unsupported metrics schema %S" s
-  | _ -> fail "metrics document has no schema tag");
-  let gc = Vjson.mem "gc" j in
-  {
-    e_subcommand = "(metrics)";
-    e_args_digest = "";
-    e_exit_class = "ok";
-    e_elapsed_s = opt_num "elapsed_s" ~default:0.0 j;
-    e_counters = counters_of_json j;
-    e_hists = hists_of_json j;
-    e_gc_minor =
-      (match gc with Some g -> opt_num "minor_words" ~default:0.0 g | None -> 0.0);
-    e_gc_major =
-      (match gc with Some g -> opt_num "major_words" ~default:0.0 g | None -> 0.0);
-  }
+  check_schema ~what:"metrics" ~doc:"metrics document"
+    [ "rgleak-metrics/1"; "rgleak-metrics/2"; "rgleak-metrics/3" ] j;
+  entry ~subcommand:"(metrics)" ~args_digest:"" ~exit_class:"ok" j
 
 let parse_ledger_string text =
   let lines = String.split_on_char '\n' text in

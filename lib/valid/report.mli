@@ -1,7 +1,7 @@
 (** Fleet telemetry aggregation for [rgleak report].
 
-    Parses ["rgleak-run/1"] ledger lines (see {!Rgleak_obs.Ledger})
-    and ["rgleak-metrics/1"|"2"] documents into a common entry form,
+    Parses ["rgleak-run/1"|"2"] ledger lines (see {!Rgleak_obs.Ledger})
+    and ["rgleak-metrics/1"|"2"|"3"] documents into a common entry form,
     merges any number of them into one service-level window, and
     renders it as tables, as ["rgleak-report/1"] JSON, or as a
     regression diff between two windows.
@@ -25,7 +25,7 @@ type entry = {
 
 val parse_ledger_string : string -> entry list
 (** Parses JSONL ledger text; blank lines are skipped, malformed lines
-    raise {!Vjson.Parse_error} naming the line number. *)
+    raise {!Rgleak_obs.Vjson.Parse_error} naming the line number. *)
 
 val parse_ledger_file : string -> entry list
 
@@ -62,7 +62,7 @@ val pp : out_channel -> agg -> unit
 (** Human-readable service tables: run/exit-class counts, cache hit
     rate, per-histogram count/rate/p50/p90/p99/max, counters, GC. *)
 
-val to_json : agg -> Vjson.t
+val to_json : agg -> Rgleak_obs.Vjson.t
 (** ["rgleak-report/1"] document. *)
 
 (** {2 Regression diff} *)

@@ -22,6 +22,7 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 open Rgleak_baseline
+module Vjson = Rgleak_obs.Vjson
 
 type scenario = {
   sc_n : int;

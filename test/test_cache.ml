@@ -362,6 +362,26 @@ let test_manifest_ids_content_derived () =
     "key parts carry no line info" true
     (Batch.scenario_key_parts first = Batch.scenario_key_parts shifted)
 
+(* A \u-escaped id decodes to UTF-8: the escaped and the raw-UTF-8
+   spelling of one manifest line are the same scenario and produce the
+   same record, byte for byte. *)
+let test_manifest_unicode_escape () =
+  let line id =
+    Printf.sprintf
+      {|{"id": "%s", "n": 40, "mix": "INV_X1:1", "corr": "exp:60", "tier": "linear", "seed": 1}|}
+      id
+  in
+  let escaped = List.hd (Batch.parse_manifest (line {|caf\u00e9|})) in
+  let raw = List.hd (Batch.parse_manifest (line "caf\xc3\xa9")) in
+  Alcotest.(check string) "escaped id decodes to UTF-8" "caf\xc3\xa9"
+    escaped.Batch.s_id;
+  match Batch.run [ escaped; raw ] with
+  | [ a; b ] ->
+    Alcotest.(check string)
+      "same record" (Rgleak_obs.Vjson.to_string b.Batch.o_json)
+      (Rgleak_obs.Vjson.to_string a.Batch.o_json)
+  | _ -> Alcotest.fail "expected two outcomes"
+
 let test_batch_run_and_report () =
   let scenarios = Batch.parse_manifest manifest_line in
   let outcomes = Batch.run scenarios in
@@ -386,7 +406,7 @@ let test_batch_run_and_report () =
       (Batch.exit_code [ o ]);
     Alcotest.(check bool)
       "record is an error record" true
-      (contains (Rgleak_valid.Vjson.to_string o.Batch.o_json)
+      (contains (Rgleak_obs.Vjson.to_string o.Batch.o_json)
          {|"status": "error"|})
   | _ -> Alcotest.fail "expected one outcome"
 
@@ -447,9 +467,9 @@ let test_cli_batch_equivalence () =
       let o = Batch.run_one engine (List.hd (Batch.parse_manifest line)) in
       let field k =
         match o.Batch.o_json with
-        | Rgleak_valid.Vjson.Obj kvs -> (
+        | Rgleak_obs.Vjson.Obj kvs -> (
           match List.assoc_opt k kvs with
-          | Some (Rgleak_valid.Vjson.Num x) -> x
+          | Some (Rgleak_obs.Vjson.Num x) -> x
           | _ -> Alcotest.failf "%s: record has no %s" tier k)
         | _ -> Alcotest.failf "%s: record is not an object" tier
       in
@@ -579,6 +599,8 @@ let suite =
         test_manifest_errors;
       Alcotest.test_case "scenario ids derive from content, not position"
         `Quick test_manifest_ids_content_derived;
+      Alcotest.test_case "an escaped manifest id equals its UTF-8 spelling"
+        `Quick test_manifest_unicode_escape;
       Alcotest.test_case "batch runs and reports" `Quick
         test_batch_run_and_report;
       Alcotest.test_case "LRU evicts the coldest past the cap" `Quick

@@ -270,7 +270,7 @@ let test_batch_error_record_keeps_telemetry () =
   check_contains "metrics carry the run's counters" (read_file metrics)
     {|"characterize.states"|};
   check_contains "ledger line carries the failure class" (read_file ledger)
-    {|"exit_class":"invalid-input"|}
+    {|"exit_class": "invalid-input"|}
 
 (* ---------- tail ---------- *)
 
@@ -384,7 +384,7 @@ let test_optimize_determinism () =
   Alcotest.(check string) "rerun byte-identical" a (go "b" 1);
   Alcotest.(check string) "jobs 4 byte-identical" a (go "j4" 4)
 
-(* every run with --ledger appends one parseable rgleak-run/1 record *)
+(* every run with --ledger appends one parseable rgleak-run/2 record *)
 let test_ledger_written () =
   with_temp_dir @@ fun dir ->
   let ledger = Filename.concat (Filename.concat dir "sub") "ledger.jsonl" in
@@ -402,9 +402,9 @@ let test_ledger_written () =
   Alcotest.(check int) "one record per run" 2 (List.length lines);
   List.iter
     (fun l ->
-      check_contains "run schema" l {|"schema":"rgleak-run/1"|};
-      check_contains "subcommand recorded" l {|"subcommand":"estimate"|};
-      check_contains "exit class recorded" l {|"exit_class":"ok"|})
+      check_contains "run schema" l {|"schema": "rgleak-run/2"|};
+      check_contains "subcommand recorded" l {|"subcommand": "estimate"|};
+      check_contains "exit class recorded" l {|"exit_class": "ok"|})
     lines
 
 (* a failing run still lands in the ledger, with its diagnostic class *)
@@ -415,7 +415,7 @@ let test_ledger_records_failures () =
     (run
        [ "estimate"; "-n"; "200"; "--method"; "bogus"; "--ledger"; ledger ]);
   check_contains "failure recorded" (read_file ledger)
-    {|"exit_class":"invalid-input"|}
+    {|"exit_class": "invalid-input"|}
 
 let test_report_over_ledger () =
   with_temp_dir @@ fun dir ->
@@ -605,9 +605,9 @@ let test_serve_sigterm_drain () =
   | _, Unix.WSIGNALED s -> Alcotest.failf "daemon killed by signal %d" s
   | _, Unix.WSTOPPED s -> Alcotest.failf "daemon stopped by signal %d" s);
   let line = read_file ledger in
-  check_contains "final ledger line present" line {|"schema":"rgleak-run/1"|};
-  check_contains "attributed to serve" line {|"subcommand":"serve"|};
-  check_contains "clean exit class" line {|"exit_class":"ok"|};
+  check_contains "final ledger line present" line {|"schema": "rgleak-run/2"|};
+  check_contains "attributed to serve" line {|"subcommand": "serve"|};
+  check_contains "clean exit class" line {|"exit_class": "ok"|};
   Alcotest.(check bool) "socket unlinked after drain" false (Sys.file_exists sock)
 
 (* an unbindable socket path is invalid input *)

@@ -11,6 +11,7 @@ open Rgleak_core
 open Testutil
 module Obs = Rgleak_obs.Obs
 module Export = Rgleak_obs.Export
+module Ledger = Rgleak_obs.Ledger
 
 let bits = Int64.bits_of_float
 
@@ -549,7 +550,7 @@ let test_metrics_json_valid () =
   let s = sample_snapshot () in
   let json = Json.parse (Export.metrics_json s) in
   check_true "schema tag"
-    (Json.str (Json.get "schema" json) = "rgleak-metrics/2");
+    (Json.str (Json.get "schema" json) = "rgleak-metrics/3");
   (* every v1 field keeps its v1 shape *)
   let counters = Json.get "counters" json in
   check_true "counter merged across spans"
@@ -579,6 +580,37 @@ let test_metrics_json_valid () =
   let gc = Json.get "gc" json in
   check_true "gc totals exported" (Json.num (Json.get "minor_words" gc) >= 0.0);
   check_true "metrics round-trips" (Json.parse (Json.to_string json) = json)
+
+(* Counter, gauge and histogram sum/min/max values survive the metrics
+   document and the ledger line bit for bit (values with no short
+   decimal form, which a 9-digit format would round). *)
+let test_metric_values_bit_exact () =
+  let third = 1.0 /. 3.0 in
+  let s =
+    with_telemetry @@ fun () ->
+    Obs.count "work.items" 123_456_789;
+    Obs.gauge_add "busy_s" 0.1;
+    Obs.gauge_add "busy_s" third;
+    List.iter (Obs.hist_record "lat_s") [ 0.1; third; 2.0 /. 3.0; 1e-7 /. 3.0 ];
+    Obs.snapshot ()
+  in
+  let h = List.assoc "lat_s" s.Obs.hists in
+  let check_doc label json =
+    check_true (label ^ ": counter")
+      (Json.num (Json.get "work.items" (Json.get "counters" json))
+      = 123_456_789.0);
+    check_bits (label ^ ": gauge")
+      (List.assoc "busy_s" s.Obs.gauges)
+      (Json.num (Json.get "busy_s" (Json.get "gauges" json)));
+    let lat = Json.get "lat_s" (Json.get "hists" json) in
+    check_bits (label ^ ": hist sum") h.Obs.h_sum (Json.num (Json.get "sum" lat));
+    check_bits (label ^ ": hist min") h.Obs.h_min (Json.num (Json.get "min" lat));
+    check_bits (label ^ ": hist max") h.Obs.h_max (Json.num (Json.get "max" lat))
+  in
+  check_doc "metrics" (Json.parse (Export.metrics_json s));
+  check_doc "ledger"
+    (Json.parse
+       (Ledger.line ~subcommand:"estimate" ~args:[] ~exit_class:"ok" s))
 
 (* ---------- collapsed-stack export ---------- *)
 
@@ -701,6 +733,8 @@ let suite =
       case "chrome trace is valid JSON with nested spans"
         test_chrome_trace_valid;
       case "metrics JSON matches the snapshot" test_metrics_json_valid;
+      case "metric values round-trip bit-exactly through metrics and ledger"
+        test_metric_values_bit_exact;
       case "folded stacks carry sanitized frames and self time"
         test_folded_export;
       case "pool records chunk/task counters and worker gauges"

@@ -7,7 +7,7 @@ open Rgleak_cells
 open Rgleak_circuit
 open Rgleak_core
 open Testutil
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 module Golden_diff = Rgleak_valid.Golden_diff
 module Obs = Rgleak_obs.Obs
 

@@ -8,7 +8,7 @@ open Testutil
 module Obs = Rgleak_obs.Obs
 module Ledger = Rgleak_obs.Ledger
 module Report = Rgleak_valid.Report
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 
 (* Build a merged histogram by recording through the real telemetry
    core (same bucketing as production call sites). *)
@@ -42,7 +42,6 @@ let test_ledger_round_trip () =
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
   Obs.count "cache.lookups" 5;
   Obs.count "pool.tasks" 12;
-  (* dyadic values survive the ledger's %.9g formatting exactly *)
   List.iter (Obs.hist_record "batch.scenario_s") [ 0.25; 0.5; 0.5; 4.0 ];
   let snap = Obs.snapshot () in
   let args = [ "batch"; "m.jsonl"; "--jobs"; "4" ] in
@@ -71,6 +70,47 @@ let test_ledger_round_trip () =
     check_true "sparse buckets survive exactly"
       (h.Obs.h_buckets = h0.Obs.h_buckets)
   | es -> Alcotest.failf "expected 2 ledger entries, got %d" (List.length es)
+
+(* Strings the program does not control (subcommand, exit class, metric
+   names) are escaped: a line carrying quotes, backslashes, a newline
+   and non-ASCII bytes is still one line and reads back unchanged. *)
+let test_ledger_escapes_strings () =
+  let odd = "a\"b\\c\nd\xc3\xa9" in
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  Obs.count odd 3;
+  let line =
+    Ledger.line ~subcommand:odd ~args:[ odd ] ~exit_class:odd
+      (Obs.snapshot ())
+  in
+  check_true "one line" (not (String.contains line '\n'));
+  match Report.parse_ledger_string line with
+  | [ e ] ->
+    Alcotest.(check string) "subcommand" odd e.Report.e_subcommand;
+    Alcotest.(check string) "exit class" odd e.Report.e_exit_class;
+    Alcotest.(check (list (pair string int)))
+      "counter name" [ (odd, 3) ] e.Report.e_counters
+  | es -> Alcotest.failf "expected 1 ledger entry, got %d" (List.length es)
+
+(* A histogram that recorded an infinite value writes its max as null
+   (JSON has no infinity); the reader restores it as +inf. *)
+let test_ledger_non_finite_hist () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+  List.iter (Obs.hist_record "h") [ 0.5; infinity ];
+  let line =
+    Ledger.line ~subcommand:"estimate" ~args:[] ~exit_class:"ok"
+      (Obs.snapshot ())
+  in
+  match Report.parse_ledger_string line with
+  | [ e ] ->
+    let h = List.assoc "h" e.Report.e_hists in
+    check_true "finite min kept" (h.Obs.h_min = 0.5);
+    check_true "null max read as +inf" (h.Obs.h_max = infinity);
+    check_true "count kept" (h.Obs.h_count = 2)
+  | es -> Alcotest.failf "expected 1 ledger entry, got %d" (List.length es)
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -231,6 +271,44 @@ let test_diff_flags_hit_rate_drop () =
 let mini_ledger = "../../../data/golden/mini_ledger.jsonl"
 let mini_report = "../../../data/golden/mini_ledger_report.json"
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Ledgers written before and after the run/2 bump pool into one
+   window: a committed rgleak-run/1 line and a fresh rgleak-run/2 line
+   aggregate as two runs of the same shape. *)
+let test_report_pools_run_schemas () =
+  if not (Sys.file_exists mini_ledger) then ()
+  else begin
+    let v1 = List.hd (String.split_on_char '\n' (read_file mini_ledger)) in
+    check_true "fixture line is rgleak-run/1"
+      (Vjson.str (Vjson.get "schema" (Vjson.parse v1)) = "rgleak-run/1");
+    let old = List.hd (Report.parse_ledger_string v1) in
+    Obs.reset ();
+    Obs.set_enabled true;
+    Fun.protect ~finally:(fun () -> Obs.set_enabled false) @@ fun () ->
+    Obs.count "cache.misses" 1;
+    Obs.hist_record "batch.scenario_s" 0.5;
+    let v2 =
+      Ledger.line ~subcommand:"batch" ~args:[] ~exit_class:"ok"
+        (Obs.snapshot ())
+    in
+    let agg = Report.aggregate (Report.parse_ledger_string (v1 ^ "\n" ^ v2)) in
+    check_true "two runs in one window" (agg.Report.runs = 2);
+    check_true "both attributed to batch"
+      (List.assoc "batch" agg.Report.by_subcommand = 2);
+    check_true "counters pooled"
+      (List.assoc "cache.misses" agg.Report.counters
+      = List.assoc "cache.misses" old.Report.e_counters + 1);
+    let h_old = List.assoc "batch.scenario_s" old.Report.e_hists in
+    check_true "histograms pooled"
+      ((List.assoc "batch.scenario_s" agg.Report.hists).Obs.h_count
+      = h_old.Obs.h_count + 1)
+  end
+
 let test_mini_ledger_golden () =
   if not (Sys.file_exists mini_ledger && Sys.file_exists mini_report) then ()
   else begin
@@ -246,7 +324,11 @@ let test_mini_ledger_golden () =
          fresh:\n\
          %s"
         mini_ledger mini_report
-        (Vjson.to_string ~indent:2 fresh)
+        (Vjson.to_string ~indent:2 fresh);
+    (* the committed rgleak-run/1 ledger renders the committed bytes *)
+    Alcotest.(check string)
+      "report bytes" (read_file mini_report)
+      (Vjson.to_string ~indent:2 fresh)
   end
 
 let suite =
@@ -268,4 +350,10 @@ let suite =
         test_diff_flags_hit_rate_drop;
       case "committed mini-ledger report stays in sync"
         test_mini_ledger_golden;
+      case "ledger strings with quotes, newlines and UTF-8 read back"
+        test_ledger_escapes_strings;
+      case "an infinite histogram max survives the ledger as null"
+        test_ledger_non_finite_hist;
+      case "run/1 and run/2 ledger lines pool into one window"
+        test_report_pools_run_schemas;
     ] )

@@ -9,6 +9,7 @@
 open Rgleak_num
 open Rgleak_valid
 open Testutil
+module Vjson = Rgleak_obs.Vjson
 
 (* ---- Stat_test: intervals and the equivalence gate ---- *)
 
@@ -98,6 +99,92 @@ let test_vjson_roundtrip () =
         Alcotest.failf "float %h drifted to %h over the round-trip" f f'
     | _ -> Alcotest.fail "number parsed as non-number"
   done
+
+(* \uXXXX escapes decode to UTF-8 (surrogate pairs combined); a lone
+   surrogate or a malformed escape is a parse error, never a silently
+   different string. *)
+let test_vjson_unicode_escapes () =
+  let str s =
+    match Vjson.parse s with
+    | Vjson.Str x -> x
+    | _ -> Alcotest.failf "%s did not parse as a string" s
+  in
+  Alcotest.(check string) "two-byte" "caf\xc3\xa9" (str {|"caf\u00e9"|});
+  Alcotest.(check string) "three-byte, uppercase hex" "\xe2\x82\xac"
+    (str {|"\u20AC"|});
+  Alcotest.(check string) "surrogate pair" "\xf0\x9f\x98\x80"
+    (str {|"\ud83d\ude00"|});
+  Alcotest.(check string) "control character" "a\x01b" (str {|"a\u0001b"|});
+  List.iter
+    (fun s ->
+      match Vjson.parse s with
+      | exception Vjson.Parse_error _ -> ()
+      | _ -> Alcotest.failf "malformed escape %s accepted" s)
+    [
+      {|"\ud83d"|}; {|"\ude00"|}; {|"\ud83d\u0041"|}; {|"\ud83dx"|};
+      {|"\u00g9"|}; {|"\u12"|}; {|"\u+123"|};
+    ]
+
+(* to_string always emits what parse accepts: every value round-trips,
+   finite numbers bit-exactly, non-finite ones (no JSON spelling) as
+   null.  Strings are arbitrary bytes. *)
+let vjson_gen =
+  let open QCheck2.Gen in
+  let num =
+    oneof
+      [
+        float;
+        map Int64.float_of_bits int64;
+        map float_of_int int;
+        oneofl [ nan; infinity; neg_infinity; -0.0; 1e15; -1e15; 5e-324 ];
+      ]
+  in
+  let str = string_size (0 -- 12) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               pure Vjson.Null;
+               map (fun b -> Vjson.Bool b) bool;
+               map (fun f -> Vjson.Num f) num;
+               map (fun s -> Vjson.Str s) str;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Vjson.Arr l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Vjson.Obj l)
+                   (list_size (0 -- 4) (pair str (self (n / 4)))) );
+             ])
+
+let rec vjson_expected = function
+  | Vjson.Num f when not (Float.is_finite f) -> Vjson.Null
+  | Vjson.Arr vs -> Vjson.Arr (List.map vjson_expected vs)
+  | Vjson.Obj kvs -> Vjson.Obj (List.map (fun (k, v) -> (k, vjson_expected v)) kvs)
+  | v -> v
+
+let rec vjson_bit_equal a b =
+  match (a, b) with
+  | Vjson.Num x, Vjson.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Vjson.Arr xs, Vjson.Arr ys ->
+    List.length xs = List.length ys && List.for_all2 vjson_bit_equal xs ys
+  | Vjson.Obj xs, Vjson.Obj ys ->
+    List.length xs = List.length ys
+    && List.for_all2 (fun (k, x) (k', y) -> k = k' && vjson_bit_equal x y) xs ys
+  | _ -> a = b
+
+let test_vjson_roundtrip_property =
+  qcheck ~count:500 "vjson to_string/parse round-trip (property)" vjson_gen
+    (fun v ->
+      let want = vjson_expected v in
+      vjson_bit_equal want (Vjson.parse (Vjson.to_string v))
+      && vjson_bit_equal want (Vjson.parse (Vjson.to_string ~indent:2 v)))
 
 let test_vjson_errors () =
   List.iter
@@ -267,6 +354,8 @@ let suite =
       case "kurtosis estimator" test_kurtosis;
       case "vjson round-trip" test_vjson_roundtrip;
       case "vjson rejects malformed input" test_vjson_errors;
+      case "vjson decodes unicode escapes to UTF-8" test_vjson_unicode_escapes;
+      test_vjson_roundtrip_property;
       case "quick sweep passes" test_quick_sweep_passes;
       case "golden self-compare identical" test_golden_self_identical;
       case "golden drift classes" test_golden_drift_classes;

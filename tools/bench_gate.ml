@@ -15,7 +15,7 @@
    meaningful improvement (see Bench_gate.should_adopt); the gate's
    exit code is unchanged by adoption. *)
 
-module Vjson = Rgleak_valid.Vjson
+module Vjson = Rgleak_obs.Vjson
 module Bench_gate = Rgleak_valid.Bench_gate
 
 let copy_file ~src ~dst =
