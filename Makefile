@@ -161,7 +161,9 @@ batch-smoke: build
 # concurrent clients (the mixed-tier example manifest, duplicated so
 # the shared cache sees repeats), byte-compare every response against
 # the direct `rgleak batch` records, assert nonzero cache hits in the
-# serve stats, prove shed-to-integral under a forced shed threshold
+# serve stats, check that a --no-cache daemon answers a duplicate
+# request byte-identically from its in-memory engine (nonzero engine
+# hits), prove shed-to-integral under a forced shed threshold
 # and admission rejection under a zero queue cap, then check the
 # SIGTERM drain exits 0, unlinks the socket and flushes the final
 # ledger line.  The daemon and clients run the built binary directly:
@@ -187,7 +189,7 @@ serve-smoke: build
 	  cmp $$D/resp$$i.jsonl $$D/reference.jsonl; \
 	done; \
 	$(RGLEAK_BIN) client --socket $$D/serve.sock --stats > $$D/stats.json; \
-	grep -E '"hits": [1-9]' $$D/stats.json >/dev/null \
+	grep -E '"cache": \{[^}]*"hits": [1-9]' $$D/stats.json >/dev/null \
 	  || { echo "FAIL: duplicate requests produced no cache hits"; exit 1; }; \
 	kill -TERM $$pid; wait $$pid \
 	  || { echo "FAIL: SIGTERM drain exited nonzero"; exit 1; }; \
@@ -195,6 +197,23 @@ serve-smoke: build
 	  || { echo "FAIL: socket not unlinked after drain"; exit 1; }; \
 	grep -q '"subcommand": "serve"' $$D/ledger.jsonl \
 	  || { echo "FAIL: no final ledger line after drain"; exit 1; }; \
+	printf '%s\n' '{"id": "one", "n": 400, "mix": "INV_X1:2,NOR2_X1:1", "corr": "exp:60", "tier": "int2d", "seed": 3}' \
+	  > $$D/one.jsonl; \
+	$(RGLEAK_BIN) batch $$D/one.jsonl --no-cache --out $$D/one-batch.jsonl \
+	  2>/dev/null; \
+	tail -n +2 $$D/one-batch.jsonl > $$D/one-reference.jsonl; \
+	$(RGLEAK_BIN) serve --socket $$D/mem.sock --no-cache \
+	  2>>$$D/serve.err & mpid=$$!; \
+	$(RGLEAK_BIN) client --socket $$D/mem.sock --ping --wait 10; \
+	for i in 1 2; do \
+	  $(RGLEAK_BIN) client --socket $$D/mem.sock \
+	    --manifest $$D/one.jsonl > $$D/mem$$i.jsonl; \
+	  cmp $$D/mem$$i.jsonl $$D/one-reference.jsonl; \
+	done; \
+	$(RGLEAK_BIN) client --socket $$D/mem.sock --stats > $$D/mem-stats.json; \
+	grep -E '"engine": \{[^}]*"hits": [1-9]' $$D/mem-stats.json >/dev/null \
+	  || { echo "FAIL: --no-cache duplicate request missed the engine"; exit 1; }; \
+	$(RGLEAK_BIN) client --socket $$D/mem.sock --shutdown; wait $$mpid; \
 	printf '%s\n' '{"id": "ex", "n": 200, "mix": "INV_X1:1", "corr": "spherical:100", "tier": "exact"}' \
 	  > $$D/exact.jsonl; \
 	$(RGLEAK_BIN) serve --socket $$D/shed.sock --no-cache \
@@ -213,7 +232,7 @@ serve-smoke: build
 	test $$got -eq 5 \
 	  || { echo "FAIL: full queue expected exit 5, got $$got"; exit 1; }; \
 	kill -TERM $$qpid; wait $$qpid; \
-	echo "serve smoke passed: 8 identical concurrent responses, cache hits, shed + overload paths, clean drain"
+	echo "serve smoke passed: 8 identical concurrent responses, cache hits, in-memory engine hits without a cache, shed + overload paths, clean drain"
 
 # Perf-regression gate: fresh timing pass vs the committed baseline.
 # Warnings (1.5x+ on noisy runners) pass; schema breaks, missing

@@ -280,8 +280,61 @@ let parse_manifest text =
 
 (* --- execution ------------------------------------------------------- *)
 
+(* The engine's in-memory tables are small LRUs: a daemon lives for many
+   requests, and a client can send any temperature and any mix.  Keys
+   are the same canonical parts the disk cache addresses entries by, so
+   a table hit returns exactly the bits a recompute (or a disk hit)
+   would.  Recency is a stamp from a per-table clock; eviction scans for
+   the oldest stamp, which is cheap at these caps. *)
+let max_chars = 4
+let max_contexts = 64
+
+module Lru = struct
+  type 'a t = {
+    cap : int;
+    tbl : (string, 'a * int ref) Hashtbl.t;
+    mutable clock : int;
+  }
+
+  let create cap = { cap; tbl = Hashtbl.create cap; clock = 0 }
+  let length t = Hashtbl.length t.tbl
+
+  let tick t =
+    t.clock <- t.clock + 1;
+    t.clock
+
+  let find t k =
+    match Hashtbl.find_opt t.tbl k with
+    | Some (v, stamp) ->
+      stamp := tick t;
+      Some v
+    | None -> None
+
+  (* Inserts [k] and returns the key evicted to stay within the cap. *)
+  let add t k v =
+    Hashtbl.replace t.tbl k (v, ref (tick t));
+    if Hashtbl.length t.tbl <= t.cap then None
+    else
+      let oldest, _ =
+        Hashtbl.fold
+          (fun k (_, s) (ok, os) -> if !s < os then (k, !s) else (ok, os))
+          t.tbl ("", max_int)
+      in
+      Hashtbl.remove t.tbl oldest;
+      Some oldest
+
+  (* Drops every entry satisfying [p]; returns how many went. *)
+  let drop_if t p =
+    let before = Hashtbl.length t.tbl in
+    Hashtbl.filter_map_inplace
+      (fun _ ((v, _) as e) -> if p v then None else Some e)
+      t.tbl;
+    before - Hashtbl.length t.tbl
+end
+
 type ctx_entry = {
   e_chars : Characterize.cell_char array;
+  e_chars_key : string;  (** the [chars_tbl] key of [e_chars] *)
   e_histogram : Histogram.t;
   e_p : float;
   e_rgcorr : Rgleak_core.Rg_correlation.t;
@@ -290,24 +343,52 @@ type ctx_entry = {
 
 type state = {
   cache : Cache.t option;
-  chars_tbl : (string, Characterize.cell_char array) Hashtbl.t;
-  ctx_tbl : (string, ctx_entry) Hashtbl.t;
+  chars_tbl : Characterize.cell_char array Lru.t;
+  ctx_tbl : ctx_entry Lru.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
 }
 
+let hit state =
+  state.hits <- state.hits + 1;
+  Obs.count "batch.engine.hits" 1
+
+let miss state =
+  state.misses <- state.misses + 1;
+  Obs.count "batch.engine.misses" 1
+
+let evicted state k =
+  state.evictions <- state.evictions + k;
+  Obs.count "batch.engine.evictions" k
+
+let chars_key ~temp_celsius =
+  String.concat "\x00" (Memo.chars_key_parts ~temp_celsius)
+
+(* Every context holds its characterization, so evicting a
+   characterization also evicts the contexts built on it: at most
+   [max_chars] characterizations stay reachable from the engine. *)
 let chars_for state ~temp_celsius =
-  let parts = Memo.chars_key_parts ~temp_celsius in
-  let k = String.concat "\x00" parts in
-  match Hashtbl.find_opt state.chars_tbl k with
-  | Some chars -> chars
+  let k = chars_key ~temp_celsius in
+  match Lru.find state.chars_tbl k with
+  | Some chars ->
+    hit state;
+    chars
   | None ->
+    miss state;
     let chars = Memo.characterization ?cache:state.cache ~temp_celsius () in
-    Hashtbl.replace state.chars_tbl k chars;
+    (match Lru.add state.chars_tbl k chars with
+    | Some old ->
+      evicted state
+        (1 + Lru.drop_if state.ctx_tbl (fun e -> e.e_chars_key = old))
+    | None -> ());
     chars
 
+(* Nothing is inserted until the whole context is built, so a scenario
+   that fails mid-build leaves no entry behind. *)
 let ctx_for state scen =
-  let chars_parts = Memo.chars_key_parts ~temp_celsius:scen.s_temp in
   let parts =
-    chars_parts
+    Memo.chars_key_parts ~temp_celsius:scen.s_temp
     @ [
         "mix=" ^ mix_canon scen.s_mix;
         "p=" ^ p_canon scen.s_p;
@@ -316,9 +397,14 @@ let ctx_for state scen =
       ]
   in
   let k = String.concat "\x00" parts in
-  match Hashtbl.find_opt state.ctx_tbl k with
-  | Some e -> e
+  match Lru.find state.ctx_tbl k with
+  | Some e ->
+    hit state;
+    (* Keep the characterization as recent as its hottest context. *)
+    ignore (Lru.find state.chars_tbl e.e_chars_key);
+    e
   | None ->
+    miss state;
     let e_chars = chars_for state ~temp_celsius:scen.s_temp in
     let e_histogram = Histogram.of_weights scen.s_mix in
     let e_p =
@@ -333,8 +419,17 @@ let ctx_for state scen =
       Memo.correlation ?cache:state.cache ~chars:e_chars ~rg ~p:e_p
         ~key_parts:parts ()
     in
-    let e = { e_chars; e_histogram; e_p; e_rgcorr; e_parts = parts } in
-    Hashtbl.replace state.ctx_tbl k e;
+    let e =
+      {
+        e_chars;
+        e_chars_key = chars_key ~temp_celsius:scen.s_temp;
+        e_histogram;
+        e_p;
+        e_rgcorr;
+        e_parts = parts;
+      }
+    in
+    if Lru.add state.ctx_tbl k e <> None then evicted state 1;
     e
 
 let layout_of scen =
@@ -515,7 +610,31 @@ type engine = state
 let engine ?cache () =
   (* Touch the shared pool once so every scenario reuses warm domains. *)
   ignore (Parallel.default ());
-  { cache; chars_tbl = Hashtbl.create 4; ctx_tbl = Hashtbl.create 8 }
+  {
+    cache;
+    chars_tbl = Lru.create max_chars;
+    ctx_tbl = Lru.create max_contexts;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+  }
+
+type engine_stats = {
+  es_chars : int;
+  es_contexts : int;
+  es_hits : int;
+  es_misses : int;
+  es_evictions : int;
+}
+
+let engine_stats state =
+  {
+    es_chars = Lru.length state.chars_tbl;
+    es_contexts = Lru.length state.ctx_tbl;
+    es_hits = state.hits;
+    es_misses = state.misses;
+    es_evictions = state.evictions;
+  }
 
 let run_one state scen =
   (* Per-scenario latency distributions, overall and per tier —

@@ -80,14 +80,48 @@ type outcome = {
 }
 
 type engine
-(** One run's worth of shared state: the warm pool handle, the
-    in-memory characterization/correlation tables, and the (optional)
-    on-disk cache.  The serve daemon creates one engine per request so
-    every request's shared work flows through the one disk cache. *)
+(** Shared state for any number of scenarios: the warm pool handle,
+    the in-memory characterization/correlation tables, and the
+    (optional) on-disk cache.  [rgleak batch] uses one engine per run;
+    the serve daemon keeps one engine for its whole lifetime, so a
+    warm request reuses the decoded characterization and correlation
+    tables instead of reading them from disk again.
+
+    {b Bounded memory.}  Both tables are LRUs with fixed caps:
+    at most {!max_chars} characterizations (keyed by temperature) and
+    {!max_contexts} correlation contexts (keyed by mix, signal
+    probability and temperature).  A context holds its
+    characterization, so evicting a characterization also evicts the
+    contexts built on it.  Entries are addressed by the same key parts
+    as the disk cache and are only inserted once fully built, so a hit
+    returns exactly the bits a recompute would: records stay a pure
+    function of the scenario across evictions and failed builds. *)
+
+val max_chars : int
+(** 4: one characterization is about 1 MB of floats. *)
+
+val max_contexts : int
+(** 64: one context is at most 11×11×65 floats of correlation tables,
+    about 60 KB. *)
 
 val engine : ?cache:Cache.t -> unit -> engine
-(** A fresh engine on the warm shared pool (touching the pool so the
-    first scenario reuses warm domains). *)
+(** A fresh engine with empty tables on the warm shared pool (touching
+    the pool so the first scenario reuses warm domains). *)
+
+type engine_stats = {
+  es_chars : int;  (** characterizations held now *)
+  es_contexts : int;  (** correlation contexts held now *)
+  es_hits : int;  (** table lookups answered in memory *)
+  es_misses : int;  (** lookups that went to the disk cache or computed *)
+  es_evictions : int;  (** entries dropped to stay within the caps *)
+}
+
+val engine_stats : engine -> engine_stats
+(** The engine's table sizes and lifetime counters (also counted as
+    [batch.engine.hits], [batch.engine.misses] and
+    [batch.engine.evictions] in {!Rgleak_obs.Obs}).  A lookup in either
+    table counts once, so a context miss whose characterization is
+    held counts one miss and one hit. *)
 
 val run_one : engine -> scenario -> outcome
 (** Executes one scenario.  Never raises for per-scenario failures —
@@ -98,7 +132,8 @@ val run_one : engine -> scenario -> outcome
 val run : ?cache:Cache.t -> scenario list -> outcome list
 (** Executes the scenarios in manifest order on the warm shared pool,
     sharing characterizations and correlation structures in memory
-    within the run and through [cache] across runs.  Never raises for
+    (within the caps above) within the run and through [cache] across
+    runs.  Never raises for
     per-scenario failures — those become error records.  Equivalent to
     folding {!run_one} over one fresh {!engine}. *)
 

@@ -16,11 +16,16 @@ exception Parse_error of string
 
 (* ---------- printing ---------- *)
 
+(* Output is always valid UTF-8: a byte sequence that does not decode
+   is written as U+FFFD, one replacement per maximal invalid subpart. *)
 let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let b = Buffer.create (n + 8) in
+  let i = ref 0 in
+  while !i < n do
+    let c = s.[!i] in
+    if Char.code c < 0x80 then begin
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
@@ -28,8 +33,17 @@ let escape s =
       | '\r' -> Buffer.add_string b "\\r"
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+      | c -> Buffer.add_char b c);
+      incr i
+    end
+    else begin
+      let d = String.get_utf_8_uchar s !i in
+      let len = Uchar.utf_decode_length d in
+      if Uchar.utf_decode_is_valid d then Buffer.add_substring b s !i len
+      else Buffer.add_utf_8_uchar b Uchar.rep;
+      i := !i + len
+    end
+  done;
   Buffer.contents b
 
 (* JSON has no spelling for NaN or the infinities; print them as null
@@ -169,26 +183,52 @@ let parse s =
         | _ -> fail "bad escape");
         advance ();
         go ()
-      | Some c ->
+      | Some c when Char.code c < 0x80 ->
         Buffer.add_char b c;
         advance ();
+        go ()
+      | Some _ ->
+        let d = String.get_utf_8_uchar s !pos in
+        if not (Uchar.utf_decode_is_valid d) then
+          fail "invalid UTF-8 in string";
+        let len = Uchar.utf_decode_length d in
+        Buffer.add_substring b s !pos len;
+        pos := !pos + len;
         go ()
     in
     go ();
     Buffer.contents b
   in
+  (* The RFC 8259 grammar: an optional minus, then 0 or a digit run
+     not starting with 0, an optional fraction with at least one digit,
+     an optional exponent with an optional sign and at least one digit.
+     So no leading plus, no bare dot and no leading zeros. *)
   let number () =
     let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let is_digit = function Some '0' .. '9' -> true | _ -> false in
+    let digits () =
+      if not (is_digit (peek ())) then fail "bad number";
+      while is_digit (peek ()) do
+        advance ()
+      done
     in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' ->
+      advance ();
+      if is_digit (peek ()) then fail "bad number (leading zero)"
+    | _ -> digits ());
+    if peek () = Some '.' then begin
+      advance ();
+      digits ()
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits ()
+    | _ -> ());
+    Num (float_of_string (String.sub s start (!pos - start)))
   in
   let rec value () =
     skip_ws ();

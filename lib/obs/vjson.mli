@@ -23,11 +23,17 @@ val to_string : ?indent:int -> t -> string
 (** Serialize; [indent > 0] pretty-prints with that many spaces per
     level (and a trailing newline), [indent = 0] (default) is compact.
     Finite numbers round-trip bit-exactly through {!parse}; NaN and the
-    infinities have no JSON spelling and print as [null]. *)
+    infinities have no JSON spelling and print as [null].  The output
+    is always valid UTF-8: a byte sequence in a string that is not
+    valid UTF-8 is written as U+FFFD. *)
 
 val parse : string -> t
 (** Raises {!Parse_error} on malformed input.  [\uXXXX] escapes are
     decoded to UTF-8, surrogate pairs combined; a lone surrogate is a
+    {!Parse_error}, and so is a string holding invalid UTF-8.  Numbers
+    follow the RFC 8259 grammar (optional minus, integer part without
+    leading zeros, optional fraction and exponent, each with at least
+    one digit): a leading [+], a bare [.] or a leading zero is a
     {!Parse_error}. *)
 
 val parse_file : string -> t

@@ -81,6 +81,7 @@ type item = { i_conn : conn; i_scens : Batch.scenario list }
 
 type server = {
   cfg : config;
+  engine : Batch.engine;  (* one for the daemon's lifetime *)
   listen_fd : Unix.file_descr;
   sched : item Sched.t;
   started : float;
@@ -126,7 +127,6 @@ let degrade_record requested o =
 let run_item srv ~shed item =
   Obs.span "serve.request" @@ fun () ->
   Obs.hist_time "serve.request_s" @@ fun () ->
-  let engine = Batch.engine ?cache:srv.cfg.cache () in
   let outcomes =
     List.map
       (fun scen ->
@@ -134,9 +134,10 @@ let run_item srv ~shed item =
           srv.n_sheds <- srv.n_sheds + 1;
           Obs.count "serve.sheds" 1;
           degrade_record scen.Batch.s_tier
-            (Batch.run_one engine { scen with Batch.s_tier = Batch.Integral_2d })
+            (Batch.run_one srv.engine
+               { scen with Batch.s_tier = Batch.Integral_2d })
         end
-        else Batch.run_one engine scen)
+        else Batch.run_one srv.engine scen)
       item.i_scens
   in
   let payload =
@@ -204,6 +205,17 @@ let stats_json srv =
           ("bytes", num (Cache.total_bytes c));
         ]
   in
+  let engine_obj =
+    let e = Batch.engine_stats srv.engine in
+    Vjson.Obj
+      [
+        ("chars", num e.Batch.es_chars);
+        ("contexts", num e.Batch.es_contexts);
+        ("hits", num e.Batch.es_hits);
+        ("misses", num e.Batch.es_misses);
+        ("evictions", num e.Batch.es_evictions);
+      ]
+  in
   Vjson.to_string
     (Vjson.Obj
        [
@@ -222,6 +234,7 @@ let stats_json srv =
          ("rejected", num srv.n_rejected);
          ("errors", num srv.n_errors);
          ("cache", cache_obj);
+         ("engine", engine_obj);
        ])
   ^ "\n"
 
@@ -362,6 +375,9 @@ let run ?(on_listen = fun () -> ()) cfg =
   let srv =
     {
       cfg;
+      (* Creating the engine also warms the shared pool before the
+         first request arrives. *)
+      engine = Batch.engine ?cache:cfg.cache ();
       listen_fd;
       sched = Sched.create ();
       started = Unix.gettimeofday ();
@@ -376,8 +392,6 @@ let run ?(on_listen = fun () -> ()) cfg =
       n_errors = 0;
     }
   in
-  (* Warm the shared pool before the first request arrives. *)
-  ignore (Rgleak_num.Parallel.default ());
   let stop = ref false in
   let prev_term =
     Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true))

@@ -5,13 +5,15 @@
     queue and the shared warm {!Rgleak_num.Parallel} pool; estimator
     work runs between I/O rounds, one admitted request at a time, so
     responses per connection always come back in request order and the
-    pool is never entered re-entrantly.  Each admitted request runs on
-    a fresh {!Rgleak_cache.Batch} engine over the one shared
-    {!Rgleak_cache.Cache} handle — so repeated scenarios hit the disk
-    cache (visibly, in the stats), and within a request the semantics
-    are exactly [rgleak batch]'s, making [ok] records byte-identical
-    to that subcommand's output for the same manifest lines at any
-    job count.
+    pool is never entered re-entrantly.  Every admitted request runs on
+    the one {!Rgleak_cache.Batch} engine created when the daemon
+    starts, over the one shared {!Rgleak_cache.Cache} handle: a warm
+    request reuses the characterization and correlation tables the
+    engine holds in memory (bounded by the engine's LRU caps) instead
+    of decoding them from disk again.  Engine entries are addressed by
+    scenario content, exactly like the disk cache, so [ok] records
+    stay byte-identical to [rgleak batch]'s output for the same
+    manifest lines at any job count, whatever the engine holds.
 
     {b Admission and fairness.}  [estimate] requests are parsed
     immediately (malformed manifests answer [error 2] without
@@ -39,7 +41,9 @@
     histogram, and the [stats] op answers a compact
     [rgleak-serve-stats/1] JSON object (uptime, request count, QPS,
     p50/p99 latency, queue depth, sheds, rejections, cache hit rate
-    and eviction counters). *)
+    and eviction counters, and an ["engine"] member with the engine's
+    table sizes and its in-memory hit, miss and eviction counts, so
+    reuse across requests stays visible). *)
 
 (** Fair round-robin admission queue: each client keeps FIFO order,
     service cycles across clients with pending work.  Pure bookkeeping

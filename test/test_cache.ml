@@ -568,6 +568,151 @@ let test_lru_index_survives_reopen () =
   let c3 = Cache.open_ ~dir () in
   Alcotest.(check int) "uncapped handle keeps no index" 0 (Cache.total_bytes c3)
 
+(* --- the engine's bounded tables ------------------------------------ *)
+
+let record o = Rgleak_obs.Vjson.to_string o.Batch.o_json
+
+let scenario ?temp ~mix ~seed () =
+  List.hd
+    (Batch.parse_manifest
+       (Printf.sprintf
+          {|{"n": 200, "mix": "%s", "corr": "spherical:100", "tier": "int2d", "seed": %d%s}|}
+          mix seed
+          (match temp with
+          | Some t -> Printf.sprintf {|, "temp": %d|} t
+          | None -> "")))
+
+(* More distinct contexts and temperatures than the caps: the tables
+   never outgrow them, evicting a characterization takes its contexts
+   along, and evicted scenarios come back bit-identical to a fresh
+   run. *)
+let test_engine_tables_bounded () =
+  let e = Batch.engine () in
+  let run s =
+    let o = Batch.run_one e s in
+    Alcotest.(check int) "scenario ok" 0 o.Batch.o_code;
+    let st = Batch.engine_stats e in
+    if st.Batch.es_chars > Batch.max_chars then
+      Alcotest.failf "%d characterizations held, cap %d" st.Batch.es_chars
+        Batch.max_chars;
+    if st.Batch.es_contexts > Batch.max_contexts then
+      Alcotest.failf "%d contexts held, cap %d" st.Batch.es_contexts
+        Batch.max_contexts;
+    o
+  in
+  let hot = scenario ~temp:25 ~mix:"INV_X1:1" ~seed:1 () in
+  let first = scenario ~mix:"INV_X1:1,NAND2_X1:1" ~seed:2 () in
+  let hot_record = record (run hot) in
+  let first_record = record (run first) in
+  for w = 2 to Batch.max_contexts + 6 do
+    ignore
+      (run (scenario ~mix:(Printf.sprintf "INV_X1:%d,NAND2_X1:1" w) ~seed:w ()))
+  done;
+  Alcotest.(check int)
+    "context table full" Batch.max_contexts
+    (Batch.engine_stats e).Batch.es_contexts;
+  (* Four more temperatures: the third evicts the 25 °C
+     characterization, the fourth the default one with its contexts. *)
+  List.iter
+    (fun t -> ignore (run (scenario ~temp:t ~mix:"INV_X1:1" ~seed:t ())))
+    [ 45; 65; 85; 105 ];
+  let st = Batch.engine_stats e in
+  Alcotest.(check int) "characterizations at the cap" Batch.max_chars
+    st.Batch.es_chars;
+  Alcotest.(check int) "only the hot temperatures' contexts left" 4
+    st.Batch.es_contexts;
+  Alcotest.(check bool) "evictions counted" true (st.Batch.es_evictions > 0);
+  List.iter
+    (fun (name, s, before) ->
+      let again = record (run s) in
+      Alcotest.(check string) (name ^ ": same record after eviction") before
+        again;
+      match Batch.run [ s ] with
+      | [ o ] ->
+        Alcotest.(check string) (name ^ ": equals a fresh run") (record o)
+          again
+      | _ -> Alcotest.fail "expected one outcome")
+    [ ("evicted context", first, first_record);
+      ("evicted characterization", hot, hot_record) ]
+
+(* A scenario whose context build fails (an injected pool fault during
+   characterization) leaves no entry behind; the identical scenario
+   then recomputes and succeeds. *)
+let test_engine_failed_build_leaves_no_entry () =
+  let e = Batch.engine () in
+  let s = scenario ~temp:60 ~mix:"INV_X1:2,NOR2_X1:1" ~seed:5 () in
+  Guard.Fault.configure
+    [ { Guard.Fault.site = "parallel"; prob = 1.0; seed = 1 } ];
+  let failed =
+    Fun.protect ~finally:Guard.Fault.clear (fun () -> Batch.run_one e s)
+  in
+  Alcotest.(check int) "faulted scenario is a numeric error record" 3
+    failed.Batch.o_code;
+  let st = Batch.engine_stats e in
+  Alcotest.(check int) "no characterization kept" 0 st.Batch.es_chars;
+  Alcotest.(check int) "no context kept" 0 st.Batch.es_contexts;
+  let ok = Batch.run_one e s in
+  Alcotest.(check int) "identical request recomputes and succeeds" 0
+    ok.Batch.o_code;
+  match Batch.run [ s ] with
+  | [ o ] ->
+    Alcotest.(check string) "equals a fresh run" (record o) (record ok)
+  | _ -> Alcotest.fail "expected one outcome"
+
+(* Strings must be valid UTF-8 and numbers must follow RFC 8259, in the
+   parser and so in every manifest; the printer writes U+FFFD for bytes
+   that do not decode, so its output always parses. *)
+let test_vjson_utf8_and_numbers () =
+  let module Vjson = Rgleak_obs.Vjson in
+  let rejects name text =
+    match Vjson.parse text with
+    | _ -> Alcotest.failf "%s: %S parsed" name text
+    | exception Vjson.Parse_error _ -> ()
+  in
+  List.iter
+    (fun (name, text) -> rejects name text)
+    [
+      ("lone 0xff", "\"a\xffb\"");
+      ("truncated sequence", "\"\xc3\"");
+      ("overlong encoding", "\"\xc0\xaf\"");
+      ("encoded surrogate", "\"\xed\xa0\x80\"");
+      ("leading plus", "+4e1");
+      ("bare fraction", ".1e1");
+      ("trailing dot", "1.");
+      ("leading zero", "01");
+      ("empty exponent", "1e");
+      ("lone minus", "-");
+      ("infinity", "Infinity");
+    ];
+  List.iter
+    (fun (text, v) ->
+      Alcotest.(check (float 0.0)) text v (Vjson.num (Vjson.parse text)))
+    [ ("0", 0.0); ("-0.5", -0.5); ("4e1", 40.0); ("1E+2", 100.0);
+      ("2.5e-3", 2.5e-3); ("-12", -12.0) ];
+  Alcotest.(check string) "valid UTF-8 passes through" "caf\xc3\xa9"
+    (Vjson.str (Vjson.parse "\"caf\xc3\xa9\""));
+  let printed = Vjson.to_string (Vjson.Str "a\xffb\xc3") in
+  Alcotest.(check string) "invalid bytes print as U+FFFD"
+    "\"a\xef\xbf\xbdb\xef\xbf\xbd\"" printed;
+  Alcotest.(check string) "the printed string parses back" "a\xef\xbf\xbdb\xef\xbf\xbd"
+    (Vjson.str (Vjson.parse printed));
+  (* In a manifest both are invalid input naming the line: exit 2. *)
+  let ok = {|{"n": 40, "mix": "INV_X1:1", "corr": "exp:60"}|} in
+  List.iter
+    (fun (name, bad) ->
+      match Batch.parse_manifest (ok ^ "\n" ^ bad ^ "\n") with
+      | _ -> Alcotest.failf "%s: manifest accepted" name
+      | exception Guard.Error (Guard.Invalid_input msg as d) ->
+        Alcotest.(check int) (name ^ " exits 2") 2 (Guard.exit_code d);
+        if not (contains msg "manifest line 2: ") then
+          Alcotest.failf "%s: diagnostic does not name line 2: %s" name msg)
+    [
+      ("invalid UTF-8 id",
+       "{\"id\": \"a\xffb\", \"n\": 40, \"mix\": \"INV_X1:1\", \"corr\": \"exp:60\"}");
+      ("leading plus and bare fraction",
+       {|{"n": +4e1, "mix": "INV_X1:1", "corr": "exp:60", "seed": .1e1}|});
+    ]
+
 let suite =
   ( "cache",
     [
@@ -615,4 +760,10 @@ let suite =
         test_scenario_keys_pinned;
       Alcotest.test_case "CLI library path and batch agree bit for bit"
         `Quick test_cli_batch_equivalence;
+      Alcotest.test_case "engine tables stay within their caps" `Quick
+        test_engine_tables_bounded;
+      Alcotest.test_case "a failed context build leaves no engine entry"
+        `Quick test_engine_failed_build_leaves_no_entry;
+      Alcotest.test_case "JSON strings are UTF-8, numbers RFC 8259" `Quick
+        test_vjson_utf8_and_numbers;
     ] )

@@ -617,6 +617,88 @@ let test_serve_bind_error () =
   check_exit "client to a dead socket exits 2" 2
     [ "client"; "--socket"; "/nonexistent-rgleak-dir/serve.sock"; "--ping" ]
 
+(* one engine lives as long as the daemon: two different-mix requests,
+   then the first again, all byte-identical to batch records, with the
+   repeat answered from the engine's in-memory tables *)
+let test_serve_engine_reuse () =
+  with_temp_dir @@ fun dir ->
+  let lines =
+    [
+      {|{"id": "m1", "n": 300, "mix": "INV_X1:3,NAND2_X1:2", "corr": "spherical:120", "tier": "int2d", "seed": 7}|};
+      {|{"id": "m2", "n": 250, "mix": "INV_X1:1,NOR2_X1:1", "corr": "exp:60", "tier": "linear", "seed": 3, "temp": 70}|};
+    ]
+  in
+  let refs =
+    List.mapi
+      (fun i line ->
+        let manifest = Filename.concat dir (Printf.sprintf "m%d.jsonl" i) in
+        write_file manifest (line ^ "\n");
+        let ref_out = Filename.concat dir (Printf.sprintf "ref%d.jsonl" i) in
+        Alcotest.(check int) "reference batch exits 0" 0
+          (run [ "batch"; manifest; "--no-cache"; "--out"; ref_out ]);
+        (manifest, records_of_report (read_file ref_out)))
+      lines
+  in
+  with_daemon ~args:[ "--no-cache" ] dir @@ fun ~sock ~pid:_ ->
+  List.iteri
+    (fun k (manifest, reference) ->
+      let out = Filename.concat dir (Printf.sprintf "r%d.out" k) in
+      Alcotest.(check int) "request exits 0" 0
+        (run ~out [ "client"; "--socket"; sock; "--manifest"; manifest ]);
+      Alcotest.(check string)
+        (Printf.sprintf "reply %d byte-identical to batch" k)
+        reference (read_file out))
+    (refs @ [ List.hd refs ]);
+  let stats_out = Filename.concat dir "stats.json" in
+  Alcotest.(check int) "stats exits 0" 0
+    (run ~out:stats_out [ "client"; "--socket"; sock; "--stats" ]);
+  let stats = read_file stats_out in
+  check_contains "engine member" stats {|"engine": {|};
+  let engine =
+    let k = String.length {|"engine": {|} in
+    let rec find i =
+      if String.sub stats i k = {|"engine": {|} then i + k else find (i + 1)
+    in
+    let start = find 0 in
+    String.sub stats start (String.index_from stats start '}' - start)
+  in
+  check_contains "engine hits reported" engine {|"hits": |};
+  if contains engine {|"hits": 0,|} then
+    Alcotest.failf "repeated request produced no engine hits:\n%s" stats
+
+(* invalid UTF-8 in a string and non-RFC 8259 numbers are invalid input
+   in batch manifests and in serve requests alike *)
+let test_serve_json_grammar () =
+  with_temp_dir @@ fun dir ->
+  let cases =
+    [
+      ( "invalid UTF-8 id",
+        "{\"id\": \"a\xffb\", \"n\": 40, \"mix\": \"INV_X1:1\", \"corr\": \"exp:60\"}\n",
+        "invalid UTF-8" );
+      ( "leading plus and bare fraction",
+        {|{"n": +4e1, "mix": "INV_X1:1", "corr": "exp:60", "seed": .1e1}
+|},
+        "bad number" );
+    ]
+  in
+  let manifests =
+    List.mapi
+      (fun i (name, text, why) ->
+        let manifest = Filename.concat dir (Printf.sprintf "bad%d.jsonl" i) in
+        write_file manifest text;
+        let err = stderr_of_invalid ("batch: " ^ name) [ "batch"; manifest ] in
+        check_contains (name ^ " names the line") err "manifest line 1: ";
+        check_contains (name ^ " says why") err why;
+        (name, manifest))
+      cases
+  in
+  with_daemon ~args:[ "--no-cache" ] dir @@ fun ~sock ~pid:_ ->
+  List.iter
+    (fun (name, manifest) ->
+      Alcotest.(check int) ("serve: " ^ name ^ " exits 2") 2
+        (run [ "client"; "--socket"; sock; "--manifest"; manifest ]))
+    manifests
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -681,5 +763,9 @@ let () =
           case "SIGTERM drains and flushes the ledger"
             test_serve_sigterm_drain;
           case "unbindable socket is invalid input" test_serve_bind_error;
+          case "one engine serves repeats from memory, byte-identical"
+            test_serve_engine_reuse;
+          case "invalid UTF-8 and non-RFC numbers exit 2"
+            test_serve_json_grammar;
         ] );
     ]

@@ -127,7 +127,8 @@ let test_vjson_unicode_escapes () =
 
 (* to_string always emits what parse accepts: every value round-trips,
    finite numbers bit-exactly, non-finite ones (no JSON spelling) as
-   null.  Strings are arbitrary bytes. *)
+   null.  Strings are arbitrary bytes: valid UTF-8 comes back as is,
+   each maximal invalid subpart as U+FFFD. *)
 let vjson_gen =
   let open QCheck2.Gen in
   let num =
@@ -163,10 +164,27 @@ let vjson_gen =
                    (list_size (0 -- 4) (pair str (self (n / 4)))) );
              ])
 
+let utf8_sanitized s =
+  let b = Buffer.create (String.length s) in
+  let rec go i =
+    if i < String.length s then begin
+      let d = String.get_utf_8_uchar s i in
+      Buffer.add_utf_8_uchar b
+        (if Uchar.utf_decode_is_valid d then Uchar.utf_decode_uchar d
+         else Uchar.rep);
+      go (i + Uchar.utf_decode_length d)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
 let rec vjson_expected = function
   | Vjson.Num f when not (Float.is_finite f) -> Vjson.Null
+  | Vjson.Str s -> Vjson.Str (utf8_sanitized s)
   | Vjson.Arr vs -> Vjson.Arr (List.map vjson_expected vs)
-  | Vjson.Obj kvs -> Vjson.Obj (List.map (fun (k, v) -> (k, vjson_expected v)) kvs)
+  | Vjson.Obj kvs ->
+    Vjson.Obj
+      (List.map (fun (k, v) -> (utf8_sanitized k, vjson_expected v)) kvs)
   | v -> v
 
 let rec vjson_bit_equal a b =
